@@ -19,6 +19,7 @@ import numpy as np
 
 from ..core import (
     MASK16,
+    R_NP,
     SBOXES,
     SubkeySet,
     linear_diffusion,
@@ -36,19 +37,8 @@ def _round_keys(sk: SubkeySet, iterations: int) -> list[int]:
 
 def b16_round_table(key: int) -> np.ndarray:
     """One round body (key XOR, substitution, mix, diffusion) evaluated
-    on every 16-bit input."""
-    m = np.arange(1 << 16, dtype=np.uint16) ^ key
-    boxes = [np.array(b, dtype=np.uint16) for b in SBOXES]
-    a = boxes[0][m & 0xF]
-    b = boxes[1][(m >> 4) & 0xF]
-    c = boxes[2][(m >> 8) & 0xF]
-    d = boxes[3][m >> 12]
-    a = a ^ c
-    b = b ^ d
-    c = c ^ b
-    d = d ^ a
-    m = (d << 12) | (c << 8) | (b << 4) | a
-    return m ^ ((m << 8) | (m >> 8)) ^ ((m << 12) | (m >> 4))
+    on every 16-bit input: a gather on the shared round table R."""
+    return R_NP[np.arange(1 << 16, dtype=np.uint16) ^ key]
 
 
 def _chain_table(sk: SubkeySet, iterations: int) -> np.ndarray:

@@ -56,9 +56,11 @@ def test_roundtrip_large_messages(rng):
     for _ in range(5):
         key = rng.randbytes(32)
         nonce = rng.randbytes(16)
-        data = rng.randbytes(2 * rng.randrange(256, 512))  # forces bulk path
+        n = Separ._BULK_THRESHOLD
+        data = rng.randbytes(2 * rng.randrange(n, 2 * n))  # forces bulk path
         cipher = Separ(key)
         ct = cipher.encrypt(nonce, data)
+        assert cipher._enc_tables is not None
         assert ct != data
         assert cipher.decrypt(nonce, ct) == data
 
@@ -66,9 +68,10 @@ def test_roundtrip_large_messages(rng):
 def test_bulk_and_scalar_paths_identical(rng):
     key = rng.randbytes(32)
     nonce = rng.randbytes(16)
-    data = rng.randbytes(1024)
+    data = rng.randbytes(4 * Separ._BULK_THRESHOLD)
     bulk = Separ(key)
     bulk_ct = bulk.encrypt(nonce, data)  # above threshold: table path
+    assert bulk._enc_tables is not None
     scalar = Separ(key)
     st = scalar.initialize(nonce)
     words = [int.from_bytes(data[i:i + 2], "big") for i in range(0, len(data), 2)]
