@@ -11,6 +11,7 @@ Two complementary tools:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -111,69 +112,84 @@ def characteristic_search(iterations: int, p_min: Fraction | float,
 
     Branch-and-bound: a branch dies as soon as its probability, even if
     every remaining round were a single best-case S-box transition,
-    cannot reach p_min.  Key XOR is transparent to XOR differences and
-    the mix/diffusion layers are propagated exactly, so the enumeration
-    is key-independent.
+    cannot reach p_min.  The best case is the largest DDT count of a
+    nonzero input difference over the given S-boxes (4 of 16 for SBOXES).
+    A branch carries its probability as an integer product of DDT counts
+    and its number k of active S-boxes, so every test is an exact integer
+    comparison with p_min = num/den, and the Fraction count/16**k is
+    built only for an emitted characteristic.  Key XOR is transparent to
+    XOR differences and the mix/diffusion layers are propagated exactly,
+    so the enumeration is key-independent.
     """
     if not 1 <= iterations <= MAX_ITERATIONS:
         raise ValueError(f"iterations must be in [1, {MAX_ITERATIONS}]")
     p_min = Fraction(p_min).limit_denominator(1 << 62)
     if not 0 < p_min < 1:
         raise ValueError("p_min must lie in (0, 1)")
+    num, den = p_min.numerator, p_min.denominator
 
     ddts = [compute_ddt(box).counts for box in sboxes]
-    quarter = Fraction(1, 4)
-    # transitions[pos][a] = ((b, count/16), ...) sorted by weight descending
+    # transitions[pos][a] = ((b, count), ...) sorted by count descending
     transitions = []
-    for pos in range(4):
+    for ddt in ddts:
         rows = []
         for a in range(16):
-            if a == 0:
-                rows.append(((0, Fraction(1)),))
-            else:
-                opts = [(b, Fraction(int(ddts[pos][a][b]), 16))
-                        for b in range(16) if ddts[pos][a][b]]
-                opts.sort(key=lambda t: (-t[1], t[0]))
-                rows.append(tuple(opts))
+            opts = [(b, int(ddt[a][b])) for b in range(16) if ddt[a][b]]
+            opts.sort(key=lambda t: (-t[1], t[0]))
+            rows.append(tuple(opts))
         transitions.append(rows)
+    best_box = max(int(ddt[1:].max()) for ddt in ddts)
+    # (best_box / 16) ** r is the best case of r more rounds; den folded in
+    scale = [best_box ** r * den for r in range(iterations)]
 
-    def best_round_factor(delta: int) -> Fraction:
-        f = Fraction(1)
-        for pos in range(4):
-            a = (delta >> (4 * pos)) & 0xF
-            if a:
-                f *= transitions[pos][a][0][1]
-        return f
+    # the best single round from every delta: the product of the largest
+    # counts of its active nibbles, and the number of active nibbles
+    deltas = np.arange(1 << 16)
+    best_np = np.ones(1 << 16, dtype=np.uint64)
+    active_np = np.zeros(1 << 16, dtype=np.uint8)
+    for pos, ddt in enumerate(ddts):
+        a = (deltas >> (4 * pos)) & 0xF
+        best_np *= np.where(a, ddt.max(axis=1)[a], 1).astype(np.uint64)
+        active_np += a != 0
+    best_count = array("Q", best_np.tobytes())
+    best_active = array("B", active_np.tobytes())
 
     results: list[DiffCharacteristic] = []
 
-    def descend(delta: int, acc: Fraction, remaining: int,
+    def descend(delta: int, count: int, k: int, remaining: int,
                 trail: tuple[int, ...]) -> None:
         if remaining == 0:
-            results.append(DiffCharacteristic(iterations, trail, acc))
+            results.append(DiffCharacteristic(iterations, trail,
+                                              Fraction(count, 16 ** k)))
             return
-        if acc * best_round_factor(delta) * quarter ** (remaining - 1) < p_min:
+        rest = remaining - 1
+        if (count * best_count[delta] * scale[rest]
+                < num << 4 * (k + best_active[delta] + rest)):
             return
-        headroom = quarter ** (remaining - 1)
-        nibbles = [(pos, (delta >> (4 * pos)) & 0xF) for pos in range(4)]
+        active = [(pos, a) for pos in range(4)
+                  if (a := (delta >> (4 * pos)) & 0xF)]
 
-        def expand(idx: int, partial: int, p: Fraction) -> None:
-            if idx == 4:
+        def expand(idx: int, partial: int, c: int, k: int) -> None:
+            if idx == len(active):
                 nxt = _linear_layer(partial)
-                descend(nxt, p, remaining - 1, trail + (nxt,))
+                descend(nxt, c, k, rest, trail + (nxt,))
                 return
-            pos, a = nibbles[idx]
+            pos, a = active[idx]
+            bound = num << 4 * (k + 1 + rest)
             for b, w in transitions[pos][a]:
-                np_ = p * w
-                if np_ * headroom < p_min:
-                    break  # options are sorted by weight
-                expand(idx + 1, partial | (b << (4 * pos)), np_)
+                if c * w * scale[rest] < bound:
+                    break  # options are sorted by count
+                expand(idx + 1, partial | (b << (4 * pos)), c * w, k + 1)
 
-        expand(0, 0, acc)
+        expand(0, 0, count, k)
 
     for din in range(1, 1 << 16):
-        if best_round_factor(din) * quarter ** (iterations - 1) >= p_min:
-            descend(din, Fraction(1), iterations, (din,))
+        if (best_count[din] * scale[iterations - 1]
+                >= num << 4 * (best_active[din] + iterations - 1)):
+            descend(din, 1, 0, iterations, (din,))
+    # descend refers to itself through its closure; emptying the cell ends
+    # that cycle, so the tables are freed now and not at the next full GC
+    del descend
 
     results.sort(key=lambda ch: (-ch.probability, ch.differences))
     return results

@@ -157,8 +157,10 @@ def _global_period(data: bytes, min_len: int) -> int | None:
     return p
 
 
-def _window_hashes(arr: np.ndarray, length: int) -> np.ndarray:
-    """Rolling polynomial hashes (mod 2**64) of every window of `length`."""
+def _prefix_arrays(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The length-independent arrays of the rolling polynomial hash
+    (mod 2**64): csum[i] = sum of arr[j] * base**-j over j < i, and
+    powers[i] = base**i."""
     base = np.uint64(0x9E3779B97F4A7C15)
     base_inv = np.uint64(pow(0x9E3779B97F4A7C15, -1, 1 << 64))
     n = arr.size
@@ -170,15 +172,19 @@ def _window_hashes(arr: np.ndarray, length: int) -> np.ndarray:
     powers = np.empty(n + 1, dtype=np.uint64)
     powers[0] = 1
     np.multiply.accumulate(np.full(n, base), out=powers[1:])
-    starts = np.arange(n - length + 1)
-    return (csum[starts + length] - csum[starts]) * powers[starts + length - 1]
+    return csum, powers
 
 
-def _find_repeat(data: bytes, arr: np.ndarray, length: int) -> tuple[int, int] | None:
+def _window_hashes(csum: np.ndarray, powers: np.ndarray, length: int) -> np.ndarray:
+    """Hashes of every window of `length`, from the prefix arrays."""
+    n = csum.size - 1
+    return (csum[length:] - csum[:n - length + 1]) * powers[length - 1:n]
+
+
+def _find_repeat(data: bytes, csum: np.ndarray, powers: np.ndarray,
+                 length: int) -> tuple[int, int] | None:
     """Offsets of two equal windows of `length`, verified byte-for-byte."""
-    if length == 0 or length > len(data):
-        return None
-    hashes = _window_hashes(arr, length)
+    hashes = _window_hashes(csum, powers, length)
     order = np.argsort(hashes, kind="stable")
     hs = hashes[order]
     dup = np.nonzero(hs[1:] == hs[:-1])[0]
@@ -191,18 +197,32 @@ def _find_repeat(data: bytes, arr: np.ndarray, length: int) -> tuple[int, int] |
 
 def periodicity(data: bytes, min_len: int = 2) -> PeriodicityReport:
     """Scan for global block repetition and the longest repeated
-    substring (binary search over verified rolling hashes)."""
+    substring.
+
+    Whether a repeat of length L exists is monotone in L, so lengths
+    1, 2, 4, ... are probed until one has no repeat, and the last gap is
+    bisected.  Each probe sorts verified rolling hashes of every window;
+    the witness comes from the probe at the longest repeat.
+    """
     if min_len < 2:
         raise ValueError("min_len must be at least 2")
     data = bytes(data)
     if len(data) < 2:
         return PeriodicityReport(None, 0, None)
-    arr = np.frombuffer(data, dtype=np.uint8)
+    csum, powers = _prefix_arrays(np.frombuffer(data, dtype=np.uint8))
     lo, hi = 0, len(data) - 1  # lo = longest verified repeat
     witness = None
+    length = 1
+    while length <= hi:
+        found = _find_repeat(data, csum, powers, length)
+        if not found:
+            hi = length - 1
+            break
+        lo, witness = length, found
+        length *= 2
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        found = _find_repeat(data, arr, mid)
+        found = _find_repeat(data, csum, powers, mid)
         if found:
             lo, witness = mid, found
         else:

@@ -231,7 +231,10 @@ def cmd_analyze_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_diff(args: argparse.Namespace) -> int:
-    p_min = Fraction(args.pmin) if "/" in args.pmin else Fraction(float(args.pmin))
+    try:
+        p_min = Fraction(args.pmin) if "/" in args.pmin else Fraction(float(args.pmin))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"--pmin is not a finite probability: {args.pmin!r}") from None
     chars = analysis.characteristic_search(args.rounds, p_min)
     lines = [f"{c.differences[0]:04X} -> {c.differences[-1]:04X} "
              f"p={c.probability.numerator}/{c.probability.denominator}"

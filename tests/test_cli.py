@@ -9,6 +9,7 @@ from separ.cli import (
     EXIT_BAD_LENGTH,
     EXIT_ODD_LENGTH,
     EXIT_OK,
+    EXIT_USAGE,
     default_vector_dir,
     main,
     parse_vector_file,
@@ -154,6 +155,16 @@ def test_analyze_diff_output(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 72
     assert all("p=1/4" in ln for ln in lines)
+
+
+@pytest.mark.parametrize("pmin", ["1/0", "inf", "nan", "1e400", "abc", "1/2/3", "2"])
+def test_analyze_diff_bad_pmin_exit_code(tmp_path, capsys, pmin):
+    out = tmp_path / "chars.txt"
+    code = run(["analyze", "diff", "--rounds", "1", "--pmin", pmin,
+                "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_analyze_avalanche_json(capsys):

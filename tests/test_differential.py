@@ -1,5 +1,6 @@
 """Differential counting and characteristic search."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,8 @@ from separ.core import (
     ZERO_SUBKEYS,
     inv_linear_diffusion,
     inv_nibble_mix,
+    linear_diffusion,
+    nibble_mix,
 )
 
 DDTS = [compute_ddt(box).counts for box in SBOXES]
@@ -146,6 +149,38 @@ def test_search_known_five_round_trails():
 def test_search_five_round_best_probability():
     chars = characteristic_search(5, Fraction(1, 2048))
     assert chars[0].probability == Fraction(1, 1024)
+
+
+def test_search_output_is_pinned():
+    """Content and order of the search output, frozen: the r=5 digest is
+    the benchmark's TRAILS_R5_SHA256."""
+    chars = characteristic_search(5, Fraction(1, 2048))
+    digest = hashlib.sha256("\n".join(map(str, chars)).encode()).hexdigest()
+    assert digest == "26436943561482331a1efd7102b3107a2ba6aabcbc42d9e4a5f7a711a7819b1b"
+    assert len(characteristic_search(2, Fraction(1, 64))) == 1469
+
+
+def test_search_bound_follows_the_given_sboxes():
+    """A box whose DDT holds a 16 lets a round cost nothing, so the bound
+    on the remaining rounds must come from the boxes, not be fixed at
+    1/4: with 1/4 the p = 1 trails were lost at p_min = 1/2 and every
+    trail below p = 1 at p_min = 1/4."""
+    weak = tuple(range(14)) + (15, 14)  # x -> x ^ 1 always gives 1
+
+    def step(d):
+        return linear_diffusion(nibble_mix(d))
+
+    # the only count-16 cell is 1 -> 1, so a p = 1 trail keeps every
+    # nibble of every difference but the last in {0, 1}
+    certain = {(d, step(d), step(step(d))) for d in range(1, 1 << 16)
+               if (d | step(d)) & 0xEEEE == 0}
+    assert len(certain) == 15
+    # the least probabilities are those an unbounded search finds
+    for p_min, least in ((Fraction(1, 4), Fraction(81, 256)),
+                         (Fraction(1, 2), Fraction(9, 16))):
+        chars = characteristic_search(2, p_min, (weak,) * 4)
+        assert {c.differences for c in chars if c.probability == 1} == certain
+        assert chars[-1].probability == least
 
 
 def test_search_rejects_bad_arguments():

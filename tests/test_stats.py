@@ -1,9 +1,12 @@
 """Avalanche, entropy, histogram, autocorrelation, periodicity."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from separ.analysis import (
     autocorrelation,
@@ -12,7 +15,8 @@ from separ.analysis import (
     histogram,
     periodicity,
 )
-from separ.analysis.stats import hamming_distance
+from separ.analysis.stats import PeriodicityReport, hamming_distance
+from separ.core import Separ
 
 KEY = bytes.fromhex(
     "E8B9B733DA5D96D702DD3972E95307FD50C512DBF44A233E8D1E9DF5FC7D6371")
@@ -193,3 +197,66 @@ def test_periodicity_finds_planted_repeat(rng):
 def test_periodicity_rejects_min_len_below_two():
     with pytest.raises(ValueError):
         periodicity(b"ABAB", min_len=1)
+
+
+def brute_force_periodicity(data, min_len):
+    """(period, longest_repeat) straight from the definitions."""
+    n = len(data)
+    period = next((p for p in range(min_len, n // 2 + 1)
+                   if n % p == 0 and data == data[:p] * (n // p)), None)
+    longest = next((length for length in range(n - 1, 0, -1)
+                    if len({data[i:i + length] for i in range(n - length + 1)})
+                    < n - length + 1), 0)
+    return period, longest
+
+
+def check_against_brute_force(data, min_len=2):
+    rep = periodicity(data, min_len)
+    assert (rep.period, rep.longest_repeat) == brute_force_periodicity(data, min_len)
+    if rep.longest_repeat == 0:
+        assert rep.witness is None
+    else:
+        i, j = rep.witness
+        assert i < j
+        assert data[i:i + rep.longest_repeat] == data[j:j + rep.longest_repeat]
+    return rep
+
+
+def small_alphabet(size):
+    return st.lists(st.integers(0, size - 1), max_size=200).map(bytes)
+
+
+def repeated_block(size):
+    return st.tuples(st.lists(st.integers(0, size - 1), min_size=1, max_size=20),
+                     st.integers(1, 10)).map(lambda t: bytes(t[0]) * t[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.integers(2, 4).flatmap(
+           lambda size: st.one_of(small_alphabet(size), repeated_block(size))),
+       min_len=st.integers(2, 5))
+def test_periodicity_matches_brute_force(data, min_len):
+    check_against_brute_force(data, min_len)
+
+
+@pytest.mark.parametrize("j", range(1, 8))
+def test_periodicity_constant_input(j):
+    for n in (2 ** j, 2 ** j + 1):
+        rep = check_against_brute_force(b"\x07" * n)
+        assert rep.longest_repeat == n - 1
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64])
+def test_periodicity_repeat_of_exact_length(length):
+    distinct = bytes(random.Random(length).sample(range(256), 200))
+    data = distinct[:length] + distinct[length:150] + distinct[:length]
+    rep = check_against_brute_force(data)
+    assert rep == PeriodicityReport(None, length, (0, 150))
+
+
+def test_periodicity_keystream_report_is_pinned():
+    rng = random.Random(4)
+    cipher = Separ(rng.randbytes(32))
+    stream = cipher.keystream(rng.randbytes(16), 50_000)
+    assert len(stream) == 100_000
+    assert periodicity(stream) == PeriodicityReport(None, 4, (14397, 55692))
