@@ -55,7 +55,7 @@ def as_bits(data: bytes | np.ndarray) -> np.ndarray:
     if isinstance(data, (bytes, bytearray)):
         return np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
     bits = np.asarray(data, dtype=np.uint8)
-    if bits.ndim != 1 or not np.isin(bits, (0, 1)).all():
+    if bits.ndim != 1 or (bits.size and bits.max() > 1):
         raise ValueError("bit array must be one-dimensional 0/1 values")
     return bits
 
@@ -111,22 +111,39 @@ def runs(data: bytes | np.ndarray) -> StatReport:
 
 
 def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
-    """Counts of every overlapping m-bit pattern, with wraparound."""
-    if m == 0:
-        return np.array([bits.size], dtype=np.int64)
-    ext = np.concatenate([bits, bits[: m - 1]]).astype(np.int64)
-    vals = np.zeros(bits.size, dtype=np.int64)
-    for i in range(m):
-        vals = (vals << 1) | ext[i: i + bits.size]
-    return np.bincount(vals, minlength=1 << m)
+    """Counts of every overlapping m-bit pattern, with wraparound, for
+    1 <= m <= 57 and m <= bits.size.
 
-
-def _psi_sq(bits: np.ndarray, m: int) -> float:
-    if m <= 0:
-        return 0.0
-    c = _pattern_counts(bits, m)
+    The wrapped sequence is packed into octets, and each octet starts one
+    big-endian 64-bit window; the pattern at bit 8i + r is then bits
+    r..r+m-1 of window i, so eight shifts cover every start.
+    """
     n = bits.size
-    return float((c.astype(np.float64) ** 2).sum()) * (1 << m) / n - n
+    packed = np.packbits(np.concatenate([bits, bits[: m - 1]]))
+    octets = np.zeros(packed.size + 7, dtype=np.uint64)
+    octets[: packed.size] = packed
+    win = np.zeros(packed.size, dtype=np.uint64)
+    for k in range(8):
+        win |= octets[k: k + packed.size] << np.uint64(56 - 8 * k)
+    mask = np.uint64((1 << m) - 1)
+    counts = np.zeros(1 << m, dtype=np.int64)
+    for r in range(8):
+        starts = win[: (n - r + 7) // 8]
+        counts += np.bincount((starts >> np.uint64(64 - m - r)) & mask, minlength=1 << m)
+    return counts
+
+
+def _marginal(counts: np.ndarray) -> np.ndarray:
+    """Counts of (m-1)-bit patterns from m-bit ones.  With wraparound each
+    (m-1)-bit window is the prefix of exactly one m-bit window, so the
+    two counts of a pattern followed by 0 and by 1 add up exactly."""
+    return counts.reshape(-1, 2).sum(axis=1)
+
+
+def _psi_sq(counts: np.ndarray, n: int) -> float:
+    if counts.size == 1:  # m = 0
+        return 0.0
+    return float((counts.astype(np.float64) ** 2).sum()) * counts.size / n - n
 
 
 def serial(data: bytes | np.ndarray, m: int | None = None) -> StatReport:
@@ -142,9 +159,11 @@ def serial(data: bytes | np.ndarray, m: int | None = None) -> StatReport:
         m = min(16, int(math.log2(n)) - 3)
     if not 2 <= m < math.log2(n) - 2:
         raise ValueError(f"serial block length m={m} invalid for n={n}")
-    psi_m = _psi_sq(bits, m)
-    psi_m1 = _psi_sq(bits, m - 1)
-    psi_m2 = _psi_sq(bits, m - 2)
+    c_m = _pattern_counts(bits, m)
+    c_m1 = _marginal(c_m)
+    psi_m = _psi_sq(c_m, n)
+    psi_m1 = _psi_sq(c_m1, n)
+    psi_m2 = _psi_sq(_marginal(c_m1), n)
     d1 = psi_m - psi_m1
     d2 = psi_m - 2 * psi_m1 + psi_m2
     p1 = gammaincc(2 ** (m - 2), d1 / 2)
@@ -162,12 +181,13 @@ def approximate_entropy(data: bytes | np.ndarray, m: int | None = None) -> StatR
     if not 1 <= m < math.log2(n) - 5:
         raise ValueError(f"approximate entropy block length m={m} invalid for n={n}")
 
-    def phi(mm: int) -> float:
-        c = _pattern_counts(bits, mm).astype(np.float64)
+    def phi(counts: np.ndarray) -> float:
+        c = counts.astype(np.float64)
         pi = c[c > 0] / n
         return float((pi * np.log(pi)).sum())
 
-    apen = phi(m) - phi(m + 1)
+    counts = _pattern_counts(bits, m + 1)
+    apen = phi(_marginal(counts)) - phi(counts)
     chi2 = 2.0 * n * (math.log(2) - apen)
     return _report("approximate_entropy", chi2, gammaincc(2 ** (m - 1), chi2 / 2), n)
 
@@ -189,9 +209,13 @@ def cumulative_sums(data: bytes | np.ndarray) -> StatReport:
     reports the smaller of the two p-values."""
     bits = as_bits(data)
     n = _require(bits, 100, "cumulative_sums")
-    steps = 2 * bits.astype(np.int64) - 1
-    z_fwd = int(np.abs(np.cumsum(steps)).max())
-    z_bwd = int(np.abs(np.cumsum(steps[::-1])).max())
+    s = np.cumsum(2 * bits.astype(np.int64) - 1)
+    z_fwd = int(np.abs(s).max())
+    # The backward walk's partial sums are S_n - S_j for 0 <= j < n, with
+    # S_0 = 0; the farthest from S_n is the least or the greatest S_j.
+    lo = min(0, int(s[:-1].min()))
+    hi = max(0, int(s[:-1].max()))
+    z_bwd = max(int(s[-1]) - lo, hi - int(s[-1]))
     p_fwd = _cusum_p(z_fwd, n)
     p_bwd = _cusum_p(z_bwd, n)
     return _report("cumulative_sums", max(z_fwd, z_bwd), min(p_fwd, p_bwd), n)

@@ -22,6 +22,8 @@ Conventions used throughout:
 from __future__ import annotations
 
 import functools
+import itertools
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -175,6 +177,27 @@ def _round_tables() -> list[np.ndarray]:
 S, R, S_INV, R_INV = (array("H", t.tobytes()) for t in _round_tables())
 S_NP, R_NP, S_INV_NP, R_INV_NP = (np.frombuffer(t, dtype=np.uint16)
                                   for t in (S, R, S_INV, R_INV))
+
+
+# ---------------------------------------------------------------------------
+# byte framing
+# ---------------------------------------------------------------------------
+
+def _words(data: bytes) -> array:
+    """The big-endian 16-bit words of an even-length byte string."""
+    words = array("H")
+    words.frombytes(data)
+    if sys.byteorder == "little":
+        words.byteswap()
+    return words
+
+
+def _octets(words: Iterable[int]) -> bytes:
+    """Inverse of :func:`_words`."""
+    packed = array("H", words)
+    if sys.byteorder == "little":
+        packed.byteswap()
+    return packed.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -566,30 +589,29 @@ class Separ:
                     "(pass pad_zero=True to zero-pad)")
             data = data + b"\x00"
         st = self.initialize(nonce)
-        words = [int.from_bytes(data[i: i + 2], "big") for i in range(0, len(data), 2)]
+        words = _words(data)
         if len(words) >= self._BULK_THRESHOLD or self._enc_tables is not None:
             cts = self._encrypt_words_bulk(st, words)
         else:
             cts = [self.encrypt_word(st, w) for w in words]
-        return b"".join(w.to_bytes(2, "big") for w in cts)
+        return _octets(cts)
 
     def decrypt(self, nonce: bytes | Sequence[int], data: bytes) -> bytes:
         """Decrypt a byte string produced by :meth:`encrypt`."""
         if len(data) % 2:
             raise OddLengthError("ciphertext length must be a multiple of 2 octets")
         st = self.initialize(nonce)
-        words = [int.from_bytes(data[i: i + 2], "big") for i in range(0, len(data), 2)]
+        words = _words(data)
         if len(words) >= self._BULK_THRESHOLD or self._dec_tables is not None:
             pts = self._decrypt_words_bulk(st, words)
         else:
             pts = [self.decrypt_word(st, w) for w in words]
-        return b"".join(w.to_bytes(2, "big") for w in pts)
+        return _octets(pts)
 
     def keystream(self, nonce: bytes | Sequence[int], nwords: int) -> bytes:
         """Ciphertext of nwords zero words: the statistical sample source."""
         st = self.initialize(nonce)
-        cts = self._encrypt_words_bulk(st, [0] * nwords)
-        return b"".join(w.to_bytes(2, "big") for w in cts)
+        return _octets(self._encrypt_words_bulk(st, itertools.repeat(0, nwords)))
 
 
 def enc_block_table(sk: SubkeySet) -> np.ndarray:

@@ -234,7 +234,12 @@ def criterion_08_statistical_battery():
     worst = float(np.nanmax(np.abs(corr)))
     assert worst < 0.01, f"autocorrelation peak {worst:.5f} at least 0.01"
 
-    assert periodicity(stream).period is None, "keystream must not repeat"
+    per = periodicity(stream)
+    assert per.period is None, "keystream must not repeat"
+    # 10^6 random octets repeat a 7-octet window with probability about
+    # 5e11 / 256**7, or 7e-6.
+    assert per.longest_repeat <= 6, \
+        f"keystream repeats {per.longest_repeat} octets, at offsets {per.witness}"
 
     passing_samples = 0
     for _ in range(10):

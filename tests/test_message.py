@@ -104,6 +104,16 @@ def test_keystream_is_zero_word_ciphertext(rng):
     assert len(ks) == 64
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_keystream_equals_encrypted_zeros_at_bulk_threshold(rng, offset):
+    """Below the threshold a fresh cipher encrypts on the scalar path, at
+    and above it on the bulk path; keystream always runs the bulk loop."""
+    key = rng.randbytes(32)
+    nonce = rng.randbytes(16)
+    nwords = Separ._BULK_THRESHOLD + offset
+    assert Separ(key).keystream(nonce, nwords) == Separ(key).encrypt(nonce, bytes(2 * nwords))
+
+
 def test_keystream_deterministic(rng):
     key = rng.randbytes(32)
     nonce = rng.randbytes(16)

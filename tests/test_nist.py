@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from separ.analysis import (
@@ -16,7 +18,8 @@ from separ.analysis import (
     runs,
     serial,
 )
-from separ.analysis.nist import as_bits
+from separ.analysis.nist import _cusum_p, _marginal, _pattern_counts, as_bits
+from separ.core import Separ
 
 
 def random_bits(n, seed=0):
@@ -32,6 +35,51 @@ def test_as_bits_msb_first():
 def test_as_bits_rejects_non_binary():
     with pytest.raises(ValueError):
         as_bits(np.array([0, 1, 2]))
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([0, 1] * 100 + [2], dtype=np.uint8),
+    np.array([1, 255, 0], dtype=np.uint8),
+    np.zeros((2, 8), dtype=np.uint8),
+], ids=["two", "255", "2-d"])
+def test_as_bits_rejects_non_bits_and_shapes(bad):
+    with pytest.raises(ValueError, match="one-dimensional 0/1"):
+        as_bits(bad)
+
+
+def test_empty_bits_reach_the_length_guard():
+    empty = np.array([], dtype=np.uint8)
+    assert as_bits(empty).size == 0
+    with pytest.raises(ValueError, match="needs at least 100 bits, got 0"):
+        monobit(empty)
+
+
+# ---------------------------------------------------------------------------
+# pattern counts
+# ---------------------------------------------------------------------------
+
+def brute_pattern_counts(bits, m):
+    """Count each m-bit window of the cyclic sequence, one at a time."""
+    text = "".join(str(b) for b in bits)
+    text += text[: m - 1]
+    counts = np.zeros(1 << m, dtype=np.int64)
+    for i in range(len(bits)):
+        counts[int(text[i: i + m], 2)] += 1
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.integers(1, 16).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.integers(0, 1), min_size=m, max_size=300))))
+def test_pattern_counts_match_brute_force(data):
+    m, values = data
+    bits = np.array(values, dtype=np.uint8)
+    counts = _pattern_counts(bits, m)
+    assert np.array_equal(counts, brute_pattern_counts(bits, m))
+    for k in range(m - 1, 0, -1):
+        counts = _marginal(counts)
+        assert np.array_equal(counts, brute_pattern_counts(bits, k))
+    assert _marginal(counts).tolist() == [bits.size]
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +155,30 @@ def test_cusum_statistic_is_max_excursion():
     assert rep.statistic >= 3
 
 
+def walk_excursion(steps):
+    walk = excursion = 0
+    for step in steps:
+        walk += step
+        excursion = max(excursion, abs(walk))
+    return excursion
+
+
+@pytest.mark.parametrize("bits", [
+    random_bits(5_000, seed=21),
+    (np.random.default_rng(22).random(5_000) < 0.3).astype(np.uint8),
+    (np.random.default_rng(23).random(5_000) < 0.55).astype(np.uint8),
+    np.array([0] * 300 + [1] * 700, dtype=np.uint8),  # backward walk is longer
+], ids=["random", "biased-0.3", "biased-0.55", "down-then-up"])
+def test_cumulative_sums_matches_reversed_walk(bits):
+    steps = [2 * int(b) - 1 for b in bits]
+    z_fwd = walk_excursion(steps)
+    z_bwd = walk_excursion(reversed(steps))
+    p = min(_cusum_p(z_fwd, bits.size), _cusum_p(z_bwd, bits.size))
+    rep = cumulative_sums(bits)
+    assert rep.statistic == max(z_fwd, z_bwd)
+    assert rep.p_value == min(max(float(p), 0.0), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # behaviour on good randomness
 # ---------------------------------------------------------------------------
@@ -129,6 +201,22 @@ def test_nist_subset_runs_all_six():
     assert names == ["monobit", "block_frequency", "runs", "serial",
                      "approximate_entropy", "cumulative_sums"]
     assert all(0 <= r.p_value <= 1 for r in reports)
+
+
+def test_nist_subset_pinned_keystream_sample():
+    key = bytes.fromhex(
+        "E8B9B733DA5D96D702DD3972E95307FD50C512DBF44A233E8D1E9DF5FC7D6371")
+    sample = Separ(key).keystream(bytes(range(16)), 62_500)  # 10^6 bits
+    reports = [(r.name, r.statistic, r.p_value, r.passed, r.n_bits)
+               for r in nist_subset(sample)]
+    assert reports == [
+        ("monobit", 0.022, 0.9824479555386767, True, 1_000_000),
+        ("block_frequency", 102.62763723627641, 0.3813337622018166, True, 1_000_000),
+        ("runs", 500427.0, 0.3931047209821007, True, 1_000_000),
+        ("serial", 32873.97171199997, 0.20361127074722127, True, 1_000_000),
+        ("approximate_entropy", 1004.3958084684501, 0.6632084602857506, True, 1_000_000),
+        ("cumulative_sums", 559.0, 0.975437080940188, True, 1_000_000),
+    ]
 
 
 def test_nist_subset_length_guard():
