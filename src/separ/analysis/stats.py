@@ -195,36 +195,81 @@ def _find_repeat(data: bytes, csum: np.ndarray, powers: np.ndarray,
     return None
 
 
+def _longest_short_repeat(data: bytes) -> int:
+    """The longest repeat if it is shorter than 8 octets, else 8.
+
+    Every window of 8 octets, read as a big-endian uint64, is sorted
+    once.  The longest common prefix of any two windows is reached by
+    two neighbours in sorted order, and it is the number of leading zero
+    octets of their XOR (Manber and Myers, "Suffix arrays", SODA 1990).
+    The windows that start in the last 7 octets are shorter than 8; each
+    is extended with bytes.find while it still occurs elsewhere.
+    """
+    n = len(data)
+    longest = 0
+    if n > 8:
+        windows = np.concatenate(
+            [np.frombuffer(data, ">u8", count=(n - k) // 8, offset=k) for k in range(8)],
+            dtype=np.uint64)
+        windows.sort()
+        closest = int((windows[1:] ^ windows[:-1]).min())
+        if closest == 0:
+            return 8
+        longest = (64 - closest.bit_length()) // 8
+    for j in range(max(n - 7, 0), n):
+        for length in range(longest + 1, n - j + 1):
+            sub = data[j:j + length]
+            if data.find(sub) == j and data.find(sub, j + 1) == -1:
+                break
+            longest = length
+    return longest
+
+
+def _grow_repeat(data: bytes, csum: np.ndarray, powers: np.ndarray, lo: int) -> int:
+    """The longest repeat, given that one of `lo` octets exists.
+
+    Whether a repeat of length L exists is monotone in L, so lengths
+    2 lo, 4 lo, ... are probed until one has no repeat, and the last gap
+    is bisected.
+    """
+    hi = len(data) - 1
+    length = 2 * lo
+    while length <= hi:
+        if not _find_repeat(data, csum, powers, length):
+            hi = length - 1
+            break
+        lo = length
+        length *= 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _find_repeat(data, csum, powers, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def periodicity(data: bytes, min_len: int = 2) -> PeriodicityReport:
     """Scan for global block repetition and the longest repeated
     substring.
 
-    Whether a repeat of length L exists is monotone in L, so lengths
-    1, 2, 4, ... are probed until one has no repeat, and the last gap is
-    bisected.  Each probe sorts verified rolling hashes of every window;
-    the witness comes from the probe at the longest repeat.
+    One sort of every 8-octet window gives the longest repeat when it is
+    shorter than 8 octets.  Only when two full windows are equal do
+    verified rolling-hash probes take over, doubling from 8 and then
+    bisecting.  The witness comes from one hash probe at the longest
+    repeat: of the equal windows in stable hash order, the first pair
+    whose bytes match.
     """
     if min_len < 2:
         raise ValueError("min_len must be at least 2")
     data = bytes(data)
     if len(data) < 2:
         return PeriodicityReport(None, 0, None)
-    csum, powers = _prefix_arrays(np.frombuffer(data, dtype=np.uint8))
-    lo, hi = 0, len(data) - 1  # lo = longest verified repeat
+    longest = _longest_short_repeat(data)
     witness = None
-    length = 1
-    while length <= hi:
-        found = _find_repeat(data, csum, powers, length)
-        if not found:
-            hi = length - 1
-            break
-        lo, witness = length, found
-        length *= 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        found = _find_repeat(data, csum, powers, mid)
-        if found:
-            lo, witness = mid, found
-        else:
-            hi = mid - 1
-    return PeriodicityReport(_global_period(data, min_len), lo, witness)
+    if longest:
+        csum, powers = _prefix_arrays(np.frombuffer(data, dtype=np.uint8))
+        if longest == 8:
+            longest = _grow_repeat(data, csum, powers, longest)
+        witness = _find_repeat(data, csum, powers, longest)
+    return PeriodicityReport(_global_period(data, min_len), longest, witness)

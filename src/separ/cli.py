@@ -93,7 +93,10 @@ def _read_input(path: str, fmt: str) -> bytes:
         raw = Path(path).read_bytes()
     if fmt == "bin":
         return raw
-    text = raw.decode("ascii", errors="strict")
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise HexFormatError(f"input data is not valid hex: {exc}") from None
     lines = [ln for ln in text.splitlines() if not ln.lstrip().startswith("#")]
     return parse_hex("".join(lines), what="input data")
 
@@ -167,7 +170,7 @@ def _table_csv(table) -> str:
 
 def cmd_analyze_sbox(args: argparse.Namespace) -> int:
     if not 1 <= args.id <= 4:
-        raise HexLengthError("S-box id must be in 1..4")
+        raise ValueError(f"S-box id must be in 1..4, got {args.id}")
     box = SBOXES[args.id - 1]
     ddt = analysis.compute_ddt(box)
     lat = analysis.compute_lat(box)
@@ -187,6 +190,8 @@ def cmd_analyze_sbox(args: argparse.Namespace) -> int:
 def cmd_analyze_avalanche(args: argparse.Namespace) -> int:
     key = parse_hex(args.key, KEY_BYTES, "key")
     iv = parse_hex(args.iv, NONCE_BYTES, "iv")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = random.Random(args.seed)
     message_octets = args.message_bits // 8
     distances = []

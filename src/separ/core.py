@@ -503,13 +503,12 @@ class Separ:
                                 for sk in self.subkeys]
         return self._enc_tables
 
-    def _encrypt_words_bulk(self, st: CipherState, words: Iterable[int]) -> list[int]:
+    def _encrypt_words_bulk(self, st: CipherState, words: Iterable[int]) -> array:
         t1, t2, t3, t4, t5, t6, t7, t8 = self._tables()
         taps = self.lfsr_spec.taps
         s1, s2, s3, s4, s5, s6, s7, s8 = st.states
         lfsr = st.lfsr
-        out = []
-        n = 0
+        out = array("H")
         for pt in words:
             v12 = t1[(pt + s1) & MASK16]
             v23 = t2[(v12 + s2) & MASK16]
@@ -531,19 +530,17 @@ class Separ:
                 (v23 + v67) & MASK16,
                 v45,
             )
-            n += 1
         st.states = [s1, s2, s3, s4, s5, s6, s7, s8]
         st.lfsr = lfsr
-        st.t += n
+        st.t += len(out)
         return out
 
-    def _decrypt_words_bulk(self, st: CipherState, words: Iterable[int]) -> list[int]:
+    def _decrypt_words_bulk(self, st: CipherState, words: Iterable[int]) -> array:
         d1, d2, d3, d4, d5, d6, d7, d8 = self._tables(inverse=True)
         taps = self.lfsr_spec.taps
         s1, s2, s3, s4, s5, s6, s7, s8 = st.states
         lfsr = st.lfsr
-        out = []
-        n = 0
+        out = array("H")
         for ct in words:
             v78 = (d8[ct] - s8) & MASK16
             v67 = (d7[v78] - s7) & MASK16
@@ -565,10 +562,9 @@ class Separ:
                 (v23 + v67) & MASK16,
                 v45,
             )
-            n += 1
         st.states = [s1, s2, s3, s4, s5, s6, s7, s8]
         st.lfsr = lfsr
-        st.t += n
+        st.t += len(out)
         return out
 
     # -- message framing --------------------------------------------------
@@ -610,6 +606,8 @@ class Separ:
 
     def keystream(self, nonce: bytes | Sequence[int], nwords: int) -> bytes:
         """Ciphertext of nwords zero words: the statistical sample source."""
+        if nwords < 0:
+            raise ValueError(f"keystream length must be non-negative, got {nwords}")
         st = self.initialize(nonce)
         return _octets(self._encrypt_words_bulk(st, itertools.repeat(0, nwords)))
 

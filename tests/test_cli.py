@@ -113,6 +113,27 @@ def test_keystream_deterministic(tmp_path):
     assert a.read_bytes() == Separ(KEY).keystream(IV, 100)
 
 
+def test_keystream_negative_words_exit_code(tmp_path, capsys):
+    out = tmp_path / "ks"
+    code = run(["keystream", "--key", KEY_HEX, "--iv", IV_HEX, "--words", "-3",
+                "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_non_ascii_hex_input_exit_code(tmp_path, capsys, command):
+    src = tmp_path / "in.hex"
+    src.write_bytes(b"DEAD\xffBEEF\n")
+    out = tmp_path / "out.hex"
+    code = run([command, "--key", KEY_HEX, "--iv", IV_HEX, "--format", "hex",
+                "--in", str(src), "--out", str(out)])
+    assert code == EXIT_BAD_HEX
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_keystream_iv_sensitivity(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -139,6 +160,14 @@ def test_analyze_sbox_writes_tables(tmp_path, capsys):
     assert max(entries) == 4
     lat_rows = (tmp_path / "sbox1_lat.csv").read_text().strip().splitlines()
     assert int(lat_rows[0].split(",")[0]) == 8
+
+
+@pytest.mark.parametrize("box", ["0", "5"])
+def test_analyze_sbox_bad_id_exit_code(tmp_path, capsys, box):
+    code = run(["analyze", "sbox", "--id", box, "--out-dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_analyze_complexity_output(capsys):
@@ -174,6 +203,16 @@ def test_analyze_avalanche_json(capsys):
     assert len(lines) == 6
     summary = json.loads(lines[-1])
     assert summary["trials"] == 5 and 0 < summary["mean_distance"] <= 128
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_analyze_avalanche_bad_trials_exit_code(capsys, trials):
+    code = run(["analyze", "avalanche", "--key", KEY_HEX, "--iv", IV_HEX,
+                "--trials", trials])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_analyze_stats_json(capsys):

@@ -120,6 +120,13 @@ def test_keystream_deterministic(rng):
     assert Separ(key).keystream(nonce, 100) == Separ(key).keystream(nonce, 100)
 
 
+def test_keystream_rejects_negative_length(rng):
+    cipher = Separ(rng.randbytes(32))
+    assert cipher.keystream(rng.randbytes(16), 0) == b""
+    with pytest.raises(ValueError):
+        cipher.keystream(rng.randbytes(16), -3)
+
+
 def test_encrypt_is_pure(rng):
     key = rng.randbytes(32)
     nonce = rng.randbytes(16)

@@ -260,3 +260,59 @@ def test_periodicity_keystream_report_is_pinned():
     stream = cipher.keystream(rng.randbytes(16), 50_000)
     assert len(stream) == 100_000
     assert periodicity(stream) == PeriodicityReport(None, 4, (14397, 55692))
+
+
+# The longest repeat shorter than 8 octets comes from one sort of the
+# 8-octet windows, plus a bytes.find check of the windows that start in
+# the last 7 octets; the hash probes run only from 8 octets up.
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.integers(2, 256).flatmap(
+           lambda size: st.lists(st.integers(0, size - 1), max_size=300).map(bytes)),
+       min_len=st.integers(2, 5))
+def test_periodicity_matches_brute_force_large_alphabets(data, min_len):
+    check_against_brute_force(data, min_len)
+
+
+def planted(length, gap, tail):
+    """Distinct octets with one block of `length` repeated: first at 0,
+    then after `gap` octets, followed by `tail` more octets."""
+    distinct = bytes(random.Random(length * 64 + gap * 8 + tail).sample(range(256), 256))
+    return (distinct[:length] + distinct[length:length + gap] + distinct[:length]
+            + distinct[length + gap:length + gap + tail])
+
+
+@pytest.mark.parametrize("length", range(1, 10))
+@pytest.mark.parametrize("tail", range(7))
+def test_periodicity_repeat_ending_in_last_seven_octets(length, tail):
+    data = planted(length, 40, tail)
+    assert len(data) - tail == 2 * length + 40  # the second copy ends there
+    rep = check_against_brute_force(data)
+    assert rep == PeriodicityReport(None, length, (0, length + 40))
+
+
+@pytest.mark.parametrize("length", [7, 8, 9])
+@pytest.mark.parametrize("gap", [0, 1, 7, 8, 9, 100])
+@pytest.mark.parametrize("tail", [0, 8, 100])
+def test_periodicity_repeat_at_window_boundary(length, gap, tail):
+    data = planted(length, gap, tail)
+    rep = check_against_brute_force(data)
+    assert (rep.longest_repeat, rep.witness) == (length, (0, length + gap))
+
+
+@pytest.mark.parametrize("run", range(2, 11))
+def test_periodicity_run_in_last_octets(run):
+    """A run of one octet at the end: both occurrences of the longest
+    repeat start in the run, inside the last 8 octets when run <= 8."""
+    data = bytes(range(1, 101)) + b"\x00" * run
+    rep = check_against_brute_force(data)
+    assert rep == PeriodicityReport(None, run - 1, (100, 101))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_periodicity_short_inputs(n):
+    for bits in range(2 ** n):
+        check_against_brute_force(bytes((bits >> k) & 1 for k in range(n)))
+    rng = random.Random(n)
+    for _ in range(50):
+        check_against_brute_force(rng.randbytes(n))
