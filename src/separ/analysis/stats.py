@@ -183,15 +183,28 @@ def _window_hashes(csum: np.ndarray, powers: np.ndarray, length: int) -> np.ndar
 
 def _find_repeat(data: bytes, csum: np.ndarray, powers: np.ndarray,
                  length: int) -> tuple[int, int] | None:
-    """Offsets of two equal windows of `length`, verified byte-for-byte."""
+    """Offsets of two equal windows of `length`, verified byte-for-byte.
+
+    Runs of equal hashes are taken in sorted hash order, and each run's
+    windows in stable (offset) order; the first window whose bytes
+    match an earlier one of its run gives the pair.  Every window of a
+    run is checked, not only hash-order neighbours, so a repeat whose
+    copies are split by a colliding window is still found.
+    """
     hashes = _window_hashes(csum, powers, length)
     order = np.argsort(hashes, kind="stable")
     hs = hashes[order]
-    dup = np.nonzero(hs[1:] == hs[:-1])[0]
-    for d in dup:
-        i, j = int(order[d]), int(order[d + 1])
-        if data[i:i + length] == data[j:j + length]:
-            return (min(i, j), max(i, j))
+    seen: dict[bytes, int] = {}
+    prev = -2
+    for d in np.nonzero(hs[1:] == hs[:-1])[0].tolist():
+        if d != prev + 1:  # a new run of equal hashes starts at d
+            i = int(order[d])
+            seen = {data[i:i + length]: i}
+        prev = d
+        j = int(order[d + 1])
+        i = seen.setdefault(data[j:j + length], j)
+        if i != j:
+            return (i, j)
     return None
 
 

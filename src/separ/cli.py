@@ -219,6 +219,8 @@ def cmd_analyze_avalanche(args: argparse.Namespace) -> int:
 
 def cmd_analyze_stats(args: argparse.Namespace) -> int:
     key = parse_hex(args.key, KEY_BYTES, "key")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     rng = random.Random(args.seed)
     cipher = Separ(key, _lfsr_from_env())
     octets = args.bits // 8

@@ -305,6 +305,30 @@ def dec_block(c: int, sk: SubkeySet) -> int:
     return R_INV[R_INV[R_INV[R_INV[m] ^ sk.sk4] ^ sk.sk3] ^ sk.sk2] ^ sk.sk1
 
 
+class _Stage:
+    """enc_block under one stage's subkeys, indexed like that stage's
+    per-key table, so that the word loops serve both."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self, sk: SubkeySet) -> None:
+        self.keys = (sk.sk1, sk.sk2, sk.sk3, sk.sk4, sk.sk5, sk.sk6)
+
+    def __getitem__(self, m: int) -> int:
+        k1, k2, k3, k4, k5, k6 = self.keys
+        return S[R[R[R[R[m ^ k1] ^ k2] ^ k3] ^ k4] ^ k5] ^ k6
+
+
+class _InverseStage(_Stage):
+    """dec_block under one stage's subkeys, indexed like its inverse table."""
+
+    __slots__ = ()
+
+    def __getitem__(self, c: int) -> int:
+        k1, k2, k3, k4, k5, k6 = self.keys
+        return R_INV[R_INV[R_INV[R_INV[S_INV[c ^ k6] ^ k5] ^ k4] ^ k3] ^ k2] ^ k1
+
+
 # ---------------------------------------------------------------------------
 # LFSR
 # ---------------------------------------------------------------------------
@@ -400,6 +424,8 @@ class Separ:
         self.segments = split_master_key(key)
         self.subkeys = tuple(derive_subkeys(seg, seg.index) for seg in self.segments)
         self.lfsr_spec = lfsr_spec
+        self._stages = tuple(map(_Stage, self.subkeys))
+        self._inverse_stages = tuple(map(_InverseStage, self.subkeys))
         self._enc_tables: list[array] | None = None
         self._dec_tables: list[array] | None = None
 
@@ -437,18 +463,7 @@ class Separ:
         new state3 sees the already-updated state4, and the new state5
         sees the already-clocked LFSR.
         """
-        sk = self.subkeys
-        s1, s2, s3, s4, s5, s6, s7, s8 = st.states
-        v12 = enc_block(modadd(pt, s1), sk[0])
-        v23 = enc_block(modadd(v12, s2), sk[1])
-        v34 = enc_block(modadd(v23, s3), sk[2])
-        v45 = enc_block(modadd(v34, s4), sk[3])
-        v56 = enc_block(modadd(v45, s5), sk[4])
-        v67 = enc_block(modadd(v56, s6), sk[5])
-        v78 = enc_block(modadd(v67, s7), sk[6])
-        ct = enc_block(modadd(v78, s8), sk[7])
-        self._update_state(st, v12, v23, v34, v45, v56, v67, v78)
-        return ct
+        return self._encrypt_words(st, (pt,), self._stages)[0]
 
     def decrypt_word(self, st: CipherState, ct: int) -> int:
         """Decrypt one word; performs the identical state update, so a
@@ -457,42 +472,13 @@ class Separ:
         A desynchronized state yields garbage plaintext, not an error:
         the machine has no way to detect it.
         """
-        sk = self.subkeys
-        s1, s2, s3, s4, s5, s6, s7, s8 = st.states
-        v78 = modsub(dec_block(ct, sk[7]), s8)
-        v67 = modsub(dec_block(v78, sk[6]), s7)
-        v56 = modsub(dec_block(v67, sk[5]), s6)
-        v45 = modsub(dec_block(v56, sk[4]), s5)
-        v34 = modsub(dec_block(v45, sk[3]), s4)
-        v23 = modsub(dec_block(v34, sk[2]), s3)
-        v12 = modsub(dec_block(v23, sk[1]), s2)
-        pt = modsub(dec_block(v12, sk[0]), s1)
-        self._update_state(st, v12, v23, v34, v45, v56, v67, v78)
-        return pt
+        return self._decrypt_words(st, (ct,), self._inverse_stages)[0]
 
-    def _update_state(self, st: CipherState, v12: int, v23: int, v34: int,
-                      v45: int, v56: int, v67: int, v78: int) -> None:
-        s1, s2, s3, s4, s5, s6, s7, s8 = st.states
-        lfsr = lfsr_clock(st.lfsr, self.lfsr_spec)
-        new4 = modadd(modadd(v12, v45), s8)
-        st.states = [
-            modadd(modadd(modadd(v34, v23), v78), s5),
-            modadd(modadd(v12, v56), s6),
-            modadd(modadd(v23, new4), s1),
-            new4,
-            modadd(v23, lfsr),
-            modadd(modadd(v12, v45), s7),
-            modadd(v23, v67),
-            v45,
-        ]
-        st.lfsr = lfsr
-        st.t += 1
-
-    # -- table-backed bulk path ------------------------------------------
+    # -- the word loops ---------------------------------------------------
 
     def _tables(self, inverse: bool = False) -> list[array]:
         """Per-stage 65536-entry lookup tables (built lazily, key-fixed),
-        as array('H') so that a lookup in the bulk loops yields an int."""
+        as array('H') so that a lookup in the word loops yields an int."""
         if inverse:
             if self._dec_tables is None:
                 self._dec_tables = [array("H", dec_block_table(sk).tobytes())
@@ -503,8 +489,16 @@ class Separ:
                                 for sk in self.subkeys]
         return self._enc_tables
 
-    def _encrypt_words_bulk(self, st: CipherState, words: Iterable[int]) -> array:
-        t1, t2, t3, t4, t5, t6, t7, t8 = self._tables()
+    # The only place the state update and the LFSR clock are written, one
+    # loop per direction.  `stages` are the eight enc_block (or dec_block)
+    # lookups: the per-key tables, or the stage objects on the shared
+    # round tables, which index alike.
+
+    def _encrypt_words(self, st: CipherState, words: Iterable[int],
+                       stages: Sequence) -> array:
+        if not st.lfsr:
+            raise ValueError("LFSR state must be nonzero")
+        t1, t2, t3, t4, t5, t6, t7, t8 = stages
         taps = self.lfsr_spec.taps
         s1, s2, s3, s4, s5, s6, s7, s8 = st.states
         lfsr = st.lfsr
@@ -535,8 +529,11 @@ class Separ:
         st.t += len(out)
         return out
 
-    def _decrypt_words_bulk(self, st: CipherState, words: Iterable[int]) -> array:
-        d1, d2, d3, d4, d5, d6, d7, d8 = self._tables(inverse=True)
+    def _decrypt_words(self, st: CipherState, words: Iterable[int],
+                       stages: Sequence) -> array:
+        if not st.lfsr:
+            raise ValueError("LFSR state must be nonzero")
+        d1, d2, d3, d4, d5, d6, d7, d8 = stages
         taps = self.lfsr_spec.taps
         s1, s2, s3, s4, s5, s6, s7, s8 = st.states
         lfsr = st.lfsr
@@ -569,10 +566,12 @@ class Separ:
 
     # -- message framing --------------------------------------------------
 
-    # Below this many words the scalar path beats building a fresh key's
-    # tables.  On a shared 2-CPU host (Python 3.11, numpy 2.4) the tables
-    # took 10 ms and a word 3 us in bulk against 5.5-9 us scalar: the two
-    # crossed between 1.7k and 2.6k words.
+    # Below this many words, stepping word by word on the shared-table
+    # stages beats building a fresh key's tables.  On a shared 2-CPU host
+    # (Python 3.11, numpy 2.4), with a fresh key, 2048 words took 18.0
+    # and 18.3 ms word by word against 19.4 and 19.0 ms for the tables
+    # plus the loop (medians of 15, two runs); at 1536 words the stages
+    # won clearly, at 3072 the tables (28-30 ms against 21-23 ms).
     _BULK_THRESHOLD = 2048
 
     def encrypt(self, nonce: bytes | Sequence[int], data: bytes,
@@ -587,7 +586,7 @@ class Separ:
         st = self.initialize(nonce)
         words = _words(data)
         if len(words) >= self._BULK_THRESHOLD or self._enc_tables is not None:
-            cts = self._encrypt_words_bulk(st, words)
+            cts = self._encrypt_words(st, words, self._tables())
         else:
             cts = [self.encrypt_word(st, w) for w in words]
         return _octets(cts)
@@ -599,7 +598,7 @@ class Separ:
         st = self.initialize(nonce)
         words = _words(data)
         if len(words) >= self._BULK_THRESHOLD or self._dec_tables is not None:
-            pts = self._decrypt_words_bulk(st, words)
+            pts = self._decrypt_words(st, words, self._tables(inverse=True))
         else:
             pts = [self.decrypt_word(st, w) for w in words]
         return _octets(pts)
@@ -609,7 +608,7 @@ class Separ:
         if nwords < 0:
             raise ValueError(f"keystream length must be non-negative, got {nwords}")
         st = self.initialize(nonce)
-        return _octets(self._encrypt_words_bulk(st, itertools.repeat(0, nwords)))
+        return _octets(self._encrypt_words(st, itertools.repeat(0, nwords), self._tables()))
 
 
 def enc_block_table(sk: SubkeySet) -> np.ndarray:

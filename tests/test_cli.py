@@ -223,6 +223,15 @@ def test_analyze_stats_json(capsys):
     assert {"monobit", "runs", "serial", "entropy"} <= tests
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_analyze_stats_bad_samples_exit_code(capsys, samples):
+    code = run(["analyze", "stats", "--key", KEY_HEX, "--samples", samples])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_analyze_stats_seed_reproducible(capsys):
     run(["analyze", "stats", "--key", KEY_HEX, "--bits", "100000",
          "--samples", "1", "--seed", "3"])

@@ -5,6 +5,7 @@ import pytest
 from reference_oracle import ref_encrypt_words, ref_initialize
 from separ.core import (
     LFSR_FORCE_BIT,
+    CipherState,
     Separ,
     enc_block,
     lfsr_clock,
@@ -171,3 +172,11 @@ def test_bad_nonce_rejected():
         cipher.initialize([0] * 7)
     with pytest.raises(ValueError):
         cipher.initialize([0x10000] * 8)
+
+
+@pytest.mark.parametrize("step", ["encrypt_word", "decrypt_word"])
+def test_word_step_rejects_zero_lfsr(step):
+    st = CipherState([0] * 8, lfsr=0)
+    with pytest.raises(ValueError, match="LFSR"):
+        getattr(Separ(bytes(32)), step)(st, 0x1234)
+    assert st == CipherState([0] * 8, lfsr=0)

@@ -262,6 +262,21 @@ def test_periodicity_keystream_report_is_pinned():
     assert periodicity(stream) == PeriodicityReport(None, 4, (14397, 55692))
 
 
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_periodicity_repeat_split_by_a_hash_collision(n):
+    # From 1024 octets on, the rolling hash of a Thue-Morse block equals
+    # its complement's, so in A + B + A the two copies of A are not
+    # neighbours in hash order: every window of a run of equal hashes
+    # must be checked, not only neighbouring ones.
+    block = bytes(i.bit_count() & 1 for i in range(n))
+    data = block + bytes(1 - x for x in block) + block
+    report = periodicity(data)
+    assert report.longest_repeat == n
+    i, j = report.witness
+    assert i < j
+    assert data[i:i + n] == data[j:j + n]
+
+
 # The longest repeat shorter than 8 octets comes from one sort of the
 # 8-octet windows, plus a bytes.find check of the windows that start in
 # the last 7 octets; the hash probes run only from 8 octets up.
