@@ -17,7 +17,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .core import DEFAULT_LFSR, LfsrSpec, Separ
+from .core import DEFAULT_LFSR, LfsrSpec, Separ, _words
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def run_bench(key: bytes, nonce: bytes, message_bits: int, repetitions: int,
 
     data = _deterministic_message(message_bits, seed)
     cipher = Separ(key, lfsr_spec)
-    words = [int.from_bytes(data[i: i + 2], "big") for i in range(0, len(data), 2)]
+    words = _words(data)
     if operation == "decrypt":
         st = cipher.initialize(nonce)
         words = [cipher.encrypt_word(st, w) for w in words]

@@ -71,6 +71,10 @@ def parse_hex(text: str, expected_octets: int | None = None, what: str = "value"
         raise HexFormatError(f"{what} is not valid hex: {exc}") from None
 
 
+def _key_iv(args: argparse.Namespace) -> tuple[bytes, bytes]:
+    return parse_hex(args.key, KEY_BYTES, "key"), parse_hex(args.iv, NONCE_BYTES, "iv")
+
+
 def _lfsr_from_env() -> LfsrSpec:
     raw = os.environ.get("SEPAR_LFSR_TAPS")
     if not raw:
@@ -129,23 +133,16 @@ def _write_text(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_encrypt(args: argparse.Namespace) -> int:
-    key = parse_hex(args.key, KEY_BYTES, "key")
-    iv = parse_hex(args.iv, NONCE_BYTES, "iv")
+    key, iv = _key_iv(args)
     data = _read_input(args.infile, args.format)
-    cipher = Separ(key, _lfsr_from_env())
-    padded = len(data) % 2 == 1
-    if padded and not args.pad_zero:
-        raise OddLengthError(
-            "input length is odd; rerun with --pad-zero to zero-pad")
-    ct = cipher.encrypt(iv, data, pad_zero=args.pad_zero)
-    header = "zero-padded: 1 octet appended" if padded else None
+    ct = Separ(key, _lfsr_from_env()).encrypt(iv, data, pad_zero=args.pad_zero)
+    header = "zero-padded: 1 octet appended" if len(data) % 2 else None
     _write_output(args.outfile, ct, args.format, header)
     return EXIT_OK
 
 
 def cmd_decrypt(args: argparse.Namespace) -> int:
-    key = parse_hex(args.key, KEY_BYTES, "key")
-    iv = parse_hex(args.iv, NONCE_BYTES, "iv")
+    key, iv = _key_iv(args)
     data = _read_input(args.infile, args.format)
     pt = Separ(key, _lfsr_from_env()).decrypt(iv, data)
     _write_output(args.outfile, pt, args.format)
@@ -153,8 +150,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
 
 
 def cmd_keystream(args: argparse.Namespace) -> int:
-    key = parse_hex(args.key, KEY_BYTES, "key")
-    iv = parse_hex(args.iv, NONCE_BYTES, "iv")
+    key, iv = _key_iv(args)
     ks = Separ(key, _lfsr_from_env()).keystream(iv, args.words)
     _write_output(args.outfile, ks, args.format)
     return EXIT_OK
@@ -163,6 +159,13 @@ def cmd_keystream(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # analysis commands
 # ---------------------------------------------------------------------------
+
+def _whole_words(bits: int, flag: str) -> int:
+    """The number of 16-bit words in a bit count given on the command line."""
+    if bits <= 0 or bits % 16:
+        raise ValueError(f"{flag} must be a positive multiple of 16, got {bits}")
+    return bits // 16
+
 
 def _table_csv(table) -> str:
     return "\n".join(",".join(str(int(v)) for v in row) for row in table) + "\n"
@@ -188,12 +191,11 @@ def cmd_analyze_sbox(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_avalanche(args: argparse.Namespace) -> int:
-    key = parse_hex(args.key, KEY_BYTES, "key")
-    iv = parse_hex(args.iv, NONCE_BYTES, "iv")
+    key, iv = _key_iv(args)
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    message_octets = 2 * _whole_words(args.message_bits, "--message-bits")
     rng = random.Random(args.seed)
-    message_octets = args.message_bits // 8
     distances = []
     for trial in range(args.trials):
         pt = rng.randbytes(message_octets)
@@ -221,12 +223,12 @@ def cmd_analyze_stats(args: argparse.Namespace) -> int:
     key = parse_hex(args.key, KEY_BYTES, "key")
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    nwords = _whole_words(args.bits, "--bits")
     rng = random.Random(args.seed)
     cipher = Separ(key, _lfsr_from_env())
-    octets = args.bits // 8
     for sample in range(args.samples):
         iv = rng.randbytes(NONCE_BYTES)
-        ks = cipher.keystream(iv, octets // 2)
+        ks = cipher.keystream(iv, nwords)
         for rep in analysis.nist_subset(ks):
             print(json.dumps({"sample": sample, "iv": iv.hex().upper(),
                               "test": rep.name, "statistic": rep.statistic,
@@ -267,8 +269,7 @@ def cmd_analyze_complexity(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    key = parse_hex(args.key, KEY_BYTES, "key")
-    iv = parse_hex(args.iv, NONCE_BYTES, "iv")
+    key, iv = _key_iv(args)
     sizes = [int(s) for s in args.sizes.split(",")]
     results = []
     for bits in sizes:
@@ -284,13 +285,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def parse_vector_file(text: str) -> dict[str, bytes]:
+    """key, iv, pt and ct; key and iv are held to the lengths of --key and --iv."""
     fields: dict[str, bytes] = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         name, _, value = line.partition("=")
-        fields[name.strip().lower()] = parse_hex(value, what=name.strip())
+        name = name.strip().lower()
+        expected = {"key": KEY_BYTES, "iv": NONCE_BYTES}.get(name)
+        fields[name] = parse_hex(value, expected, name)
     missing = {"key", "iv", "pt", "ct"} - fields.keys()
     if missing:
         raise HexFormatError(f"vector file missing fields: {sorted(missing)}")
@@ -417,26 +421,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each failure, first match wins: the ValueError
+# subclasses come before ValueError.
+EXIT_CODES = (
+    (HexFormatError, EXIT_BAD_HEX),
+    (HexLengthError, EXIT_BAD_LENGTH),
+    (OddLengthError, EXIT_ODD_LENGTH),
+    (ValueError, EXIT_USAGE),
+    (OSError, EXIT_IO),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except HexFormatError as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_HEX
-    except HexLengthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_LENGTH
-    except OddLengthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ODD_LENGTH
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

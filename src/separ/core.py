@@ -259,13 +259,8 @@ def split_master_key(key: bytes) -> list[SegmentKey]:
     """
     if len(key) != KEY_BYTES:
         raise ValueError(f"master key must be {KEY_BYTES} octets, got {len(key)}")
-    segs = []
-    for i in range(NUM_BLOCKS):
-        chunk = key[4 * i: 4 * i + 4]
-        segs.append(SegmentKey(i + 1,
-                               int.from_bytes(chunk[:2], "big"),
-                               int.from_bytes(chunk[2:], "big")))
-    return segs
+    w = _words(key)
+    return [SegmentKey(i + 1, w[2 * i], w[2 * i + 1]) for i in range(NUM_BLOCKS)]
 
 
 def _sbox_window(w: int) -> int:
@@ -400,7 +395,7 @@ def _parse_nonce(nonce: bytes | Sequence[int]) -> list[int]:
     if isinstance(nonce, (bytes, bytearray)):
         if len(nonce) != NONCE_BYTES:
             raise ValueError(f"nonce must be {NONCE_BYTES} octets, got {len(nonce)}")
-        return [int.from_bytes(nonce[2 * i: 2 * i + 2], "big") for i in range(8)]
+        return _words(nonce).tolist()
     words = list(nonce)
     if len(words) != 8 or any(not 0 <= w <= MASK16 for w in words):
         raise ValueError("nonce must be eight 16-bit words")
@@ -580,35 +575,36 @@ class Separ:
         if len(data) % 2:
             if not pad_zero:
                 raise OddLengthError(
-                    "message length must be a multiple of 2 octets "
-                    "(pass pad_zero=True to zero-pad)")
+                    "message length must be a multiple of 2 octets; zero-pad "
+                    "it with pad_zero=True (separ encrypt --pad-zero)")
             data = data + b"\x00"
-        st = self.initialize(nonce)
-        words = _words(data)
-        if len(words) >= self._BULK_THRESHOLD or self._enc_tables is not None:
-            cts = self._encrypt_words(st, words, self._tables())
-        else:
-            cts = [self.encrypt_word(st, w) for w in words]
-        return _octets(cts)
+        return self._message(nonce, _words(data), len(data) // 2)
 
     def decrypt(self, nonce: bytes | Sequence[int], data: bytes) -> bytes:
         """Decrypt a byte string produced by :meth:`encrypt`."""
         if len(data) % 2:
             raise OddLengthError("ciphertext length must be a multiple of 2 octets")
-        st = self.initialize(nonce)
-        words = _words(data)
-        if len(words) >= self._BULK_THRESHOLD or self._dec_tables is not None:
-            pts = self._decrypt_words(st, words, self._tables(inverse=True))
-        else:
-            pts = [self.decrypt_word(st, w) for w in words]
-        return _octets(pts)
+        return self._message(nonce, _words(data), len(data) // 2, inverse=True)
 
     def keystream(self, nonce: bytes | Sequence[int], nwords: int) -> bytes:
         """Ciphertext of nwords zero words: the statistical sample source."""
         if nwords < 0:
             raise ValueError(f"keystream length must be non-negative, got {nwords}")
+        return self._message(nonce, itertools.repeat(0, nwords), nwords)
+
+    def _message(self, nonce: bytes | Sequence[int], words: Iterable[int],
+                 nwords: int, inverse: bool = False) -> bytes:
+        """The one message path: the word loop on the key's tables from the
+        threshold up or once they are built, else one word step at a time."""
         st = self.initialize(nonce)
-        return _octets(self._encrypt_words(st, itertools.repeat(0, nwords), self._tables()))
+        built = self._dec_tables if inverse else self._enc_tables
+        if nwords >= self._BULK_THRESHOLD or built is not None:
+            loop = self._decrypt_words if inverse else self._encrypt_words
+            out = loop(st, words, self._tables(inverse))
+        else:
+            step = self.decrypt_word if inverse else self.encrypt_word
+            out = [step(st, w) for w in words]
+        return _octets(out)
 
 
 def enc_block_table(sk: SubkeySet) -> np.ndarray:

@@ -81,7 +81,7 @@ def test_bad_key_length_exit_code(tmp_path):
     assert not out.exists()
 
 
-def test_odd_length_exit_code(tmp_path):
+def test_odd_length_exit_code(tmp_path, capsys):
     src = tmp_path / "x"
     src.write_bytes(b"\x00\x00\x00")
     out = tmp_path / "y"
@@ -89,6 +89,8 @@ def test_odd_length_exit_code(tmp_path):
                 "--in", str(src), "--out", str(out)])
     assert code == EXIT_ODD_LENGTH
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--pad-zero" in err
 
 
 def test_pad_zero_flag(tmp_path):
@@ -232,6 +234,25 @@ def test_analyze_stats_bad_samples_exit_code(capsys, samples):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("bits", ["1000008", "7", "0", "-16"])
+def test_analyze_stats_bits_not_whole_words_exit_code(capsys, bits):
+    code = run(["analyze", "stats", "--key", KEY_HEX, "--bits", bits])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --bits must be a positive multiple of 16")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("bits", ["20", "8", "0"])
+def test_analyze_avalanche_message_bits_not_whole_words_exit_code(capsys, bits):
+    code = run(["analyze", "avalanche", "--key", KEY_HEX, "--iv", IV_HEX,
+                "--trials", "2", "--message-bits", bits])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --message-bits must be a positive multiple of 16")
+    assert captured.out == ""
+
+
 def test_analyze_stats_seed_reproducible(capsys):
     run(["analyze", "stats", "--key", KEY_HEX, "--bits", "100000",
          "--samples", "1", "--seed", "3"])
@@ -271,6 +292,17 @@ def test_vectors_check_detects_corruption(tmp_path):
     corrupted = original.replace("ct=B06A", "ct=B06B")
     (tmp_path / "bad.txt").write_text(corrupted)
     assert run(["vectors", "check", "--dir", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("field, value", [("key", "AB" * 31), ("iv", "CD" * 15)],
+                         ids=["key", "iv"])
+def test_vectors_check_bad_key_or_iv_length_exit_code(tmp_path, capsys, field, value):
+    original = (default_vector_dir() / "zero_single_word.txt").read_text()
+    lines = [f"{field}={value}" if ln.startswith(f"{field}=") else ln
+             for ln in original.splitlines()]
+    (tmp_path / "short.txt").write_text("\n".join(lines) + "\n")
+    assert run(["vectors", "check", "--dir", str(tmp_path)]) == EXIT_BAD_LENGTH
+    assert capsys.readouterr().err.startswith(f"error: {field} must be ")
 
 
 def test_parse_vector_file_requires_fields():

@@ -134,12 +134,26 @@ def test_keystream_is_zero_word_ciphertext(rng):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_keystream_equals_encrypted_zeros_at_bulk_threshold(rng, offset):
-    """Below the threshold a fresh cipher encrypts on the scalar path, at
-    and above it on the bulk path; keystream always runs the bulk loop."""
+    """keystream and encrypt choose their engine alike: below the
+    threshold a fresh cipher steps word by word, at and above it runs the
+    word loop on the key's tables, and a cipher whose tables are built
+    always runs on them.  All give the same octets."""
     key = rng.randbytes(32)
     nonce = rng.randbytes(16)
     nwords = Separ._BULK_THRESHOLD + offset
-    assert Separ(key).keystream(nonce, nwords) == Separ(key).encrypt(nonce, bytes(2 * nwords))
+    fresh = Separ(key).keystream(nonce, nwords)
+    tabled = Separ(key)
+    tabled._tables()
+    assert fresh == tabled.keystream(nonce, nwords)
+    assert fresh == Separ(key).encrypt(nonce, bytes(2 * nwords))
+
+
+def test_short_keystream_builds_no_tables(rng):
+    cipher = Separ(rng.randbytes(32))
+    ks = cipher.keystream(rng.randbytes(16), Separ._BULK_THRESHOLD - 1)
+    assert len(ks) == 2 * (Separ._BULK_THRESHOLD - 1)
+    assert cipher._enc_tables is None
+    assert cipher._dec_tables is None
 
 
 def test_keystream_deterministic(rng):
