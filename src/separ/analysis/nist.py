@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -204,18 +205,45 @@ def _cusum_p(z: int, n: int) -> float:
     return 1.0 - term1 + term2
 
 
+# The +1/-1 walk over each octet value's bits, most significant first:
+# its partial sums after 1..8 steps, and from them its net step and its
+# largest and smallest partial sum.  Built without numpy reductions, whose
+# first use costs every importing process about 0.2 MB of resident code.
+_OCTET_WALKS = [list(accumulate(1 if v >> k & 1 else -1 for k in range(7, -1, -1)))
+                for v in range(256)]
+_OCTET_NET = np.array([walk[-1] for walk in _OCTET_WALKS])
+_OCTET_MAX = np.array([max(walk) for walk in _OCTET_WALKS])
+_OCTET_MIN = np.array([min(walk) for walk in _OCTET_WALKS])
+
+
 def cumulative_sums(data: bytes | np.ndarray) -> StatReport:
     """Maximum excursion of the +1/-1 random walk, forward and backward;
-    reports the smaller of the two p-values."""
+    reports the smaller of the two p-values.
+
+    The walk is taken an octet at a time: one cumsum of the octets' net
+    steps gives the walk at octet boundaries, and the octet tables give
+    its extremes within each octet.  The last n % 8 bits are stepped one
+    by one.
+    """
     bits = as_bits(data)
     n = _require(bits, 100, "cumulative_sums")
-    s = np.cumsum(2 * bits.astype(np.int64) - 1)
-    z_fwd = int(np.abs(s).max())
-    # The backward walk's partial sums are S_n - S_j for 0 <= j < n, with
-    # S_0 = 0; the farthest from S_n is the least or the greatest S_j.
-    lo = min(0, int(s[:-1].min()))
-    hi = max(0, int(s[:-1].max()))
-    z_bwd = max(int(s[-1]) - lo, hi - int(s[-1]))
+    whole = n - n % 8
+    octets = np.packbits(bits[:whole])
+    net = _OCTET_NET[octets]
+    ends = np.cumsum(net)
+    starts = ends - net
+    hi = int((starts + _OCTET_MAX[octets]).max())
+    lo = int((starts + _OCTET_MIN[octets]).min())
+    s = int(ends[-1])
+    for bit in bits[whole:].tolist():
+        s += 2 * bit - 1
+        hi, lo = max(hi, s), min(lo, s)
+    # hi and lo are the extremes of S_j for 1 <= j <= n.  The backward
+    # walk's partial sums are S_n - S_j for 0 <= j < n, with S_0 = 0; the
+    # farthest from S_n is the least or the greatest S_j, and counting
+    # S_n itself among them changes neither.
+    z_fwd = max(hi, -lo)
+    z_bwd = max(s - min(0, lo), max(0, hi) - s)
     p_fwd = _cusum_p(z_fwd, n)
     p_bwd = _cusum_p(z_bwd, n)
     return _report("cumulative_sums", max(z_fwd, z_bwd), min(p_fwd, p_bwd), n)

@@ -92,34 +92,58 @@ def entropy(data: bytes) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+# Row length, in octets, of the blocked lag products in autocorrelation:
+# each block of this many lags costs two matrix products of this width.
+_LAG_BLOCK = 128
+
+
 def autocorrelation(data: bytes, max_lag: int) -> np.ndarray:
     """Pearson correlation between the sequence and its lag-shifted self,
     for lags 1..max_lag (lag 0 is trivially 1 and not returned).
 
     Entries are NaN where the correlation is undefined (a constant
     slice has no variance to normalize by).
+
+    The lag products sum(x[i] * x[i + lag]) come from matrix products.
+    The zero-padded sequence is cut into R rows of B = _LAG_BLOCK octets,
+    X, and C_t = X[:R - t].T @ X[t:] sums x[i] * x[i'] over the pairs
+    whose rows are t apart.  The pairs lag = t*B + d apart are then the
+    diagonal at offset d of [C_t | C_t+1].  Every product is at most
+    255**2 and every partial sum an integer below 2**53, so the sums are
+    exact in any order and on any BLAS.
     """
     n = len(data)
     if not 0 < max_lag < n:
         raise ValueError("max_lag must satisfy 0 < max_lag < len(data)")
-    x = np.frombuffer(bytes(data), dtype=np.uint8).astype(np.float64)
-    # prefix sums make the per-lag slice means/variances O(1)
-    csum = np.concatenate([[0.0], np.cumsum(x)])
-    csum2 = np.concatenate([[0.0], np.cumsum(x * x)])
-    out = np.empty(max_lag)
-    for lag in range(1, max_lag + 1):
-        m = n - lag
-        sa, sa2 = csum[m], csum2[m]
-        sb = csum[n] - csum[lag]
-        sb2 = csum2[n] - csum2[lag]
-        dot = float(np.dot(x[:m], x[lag:]))
-        cov = dot - sa * sb / m
-        var_a = sa2 - sa * sa / m
-        var_b = sb2 - sb * sb / m
-        if var_a <= 0 or var_b <= 0:
-            out[lag - 1] = math.nan
-        else:
-            out[lag - 1] = cov / math.sqrt(var_a * var_b)
+    b = _LAG_BLOCK
+    rows = -(-n // b)
+    x = np.zeros(rows * b)
+    x[:n] = np.frombuffer(bytes(data), dtype=np.uint8)
+    rows_x = x.reshape(rows, b)
+    pair = np.zeros((b, 2 * b))  # [C_t | C_t+1]
+    diagonals = np.lib.stride_tricks.as_strided(
+        pair, shape=(b, b), strides=(pair.strides[0] + pair.strides[1], pair.strides[1]))
+    blocks = max_lag // b + 1
+    dot = np.empty(blocks * b)
+    pair[:, b:] = rows_x.T @ rows_x
+    for t in range(blocks):
+        pair[:, :b] = pair[:, b:]
+        pair[:, b:] = rows_x[:rows - t - 1].T @ rows_x[t + 1:] if t + 1 < rows else 0.0
+        dot[t * b:(t + 1) * b] = diagonals.sum(axis=0)
+    # The slice sums are exact integers too: the sums over x[:n - lag]
+    # and x[lag:] are the total less a sum over the lag octets cut off.
+    head = x[:max_lag]
+    tail = x[n - max_lag:n][::-1]
+    total, total2 = x.sum(), dot[0]
+    sa, sa2 = total - np.cumsum(tail), total2 - np.cumsum(tail * tail)
+    sb, sb2 = total - np.cumsum(head), total2 - np.cumsum(head * head)
+    m = n - np.arange(1, max_lag + 1, dtype=np.float64)
+    cov = dot[1:max_lag + 1] - sa * sb / m
+    var_a = sa2 - sa * sa / m
+    var_b = sb2 - sb * sb / m
+    out = np.full(max_lag, math.nan)
+    defined = (var_a > 0) & (var_b > 0)
+    out[defined] = cov[defined] / np.sqrt(var_a[defined] * var_b[defined])
     return out
 
 
@@ -157,12 +181,16 @@ def _global_period(data: bytes, min_len: int) -> int | None:
     return p
 
 
+# The odd multiplier of the rolling polynomial hash (mod 2**64).
+_HASH_BASE = 0x9E3779B97F4A7C15
+
+
 def _prefix_arrays(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The length-independent arrays of the rolling polynomial hash
     (mod 2**64): csum[i] = sum of arr[j] * base**-j over j < i, and
     powers[i] = base**i."""
-    base = np.uint64(0x9E3779B97F4A7C15)
-    base_inv = np.uint64(pow(0x9E3779B97F4A7C15, -1, 1 << 64))
+    base = np.uint64(_HASH_BASE)
+    base_inv = np.uint64(pow(_HASH_BASE, -1, 1 << 64))
     n = arr.size
     inv_powers = np.empty(n, dtype=np.uint64)
     inv_powers[0] = 1
@@ -208,8 +236,9 @@ def _find_repeat(data: bytes, csum: np.ndarray, powers: np.ndarray,
     return None
 
 
-def _longest_short_repeat(data: bytes) -> int:
-    """The longest repeat if it is shorter than 8 octets, else 8.
+def _short_repeat(data: bytes) -> tuple[int, tuple[int, int] | None]:
+    """The longest repeat and its witness if the repeat is shorter than
+    8 octets, else (8, None).
 
     Every window of 8 octets, read as a big-endian uint64, is sorted
     once.  The longest common prefix of any two windows is reached by
@@ -217,72 +246,109 @@ def _longest_short_repeat(data: bytes) -> int:
     octets of their XOR (Manber and Myers, "Suffix arrays", SODA 1990).
     The windows that start in the last 7 octets are shorter than 8; each
     is extended with bytes.find while it still occurs elsewhere.
+
+    The witness is the pair _find_repeat gives at the longest repeat L,
+    found without hashing every window.  All copies of a string hash
+    alike and runs are taken in ascending hash order, so that pair is
+    the first two copies of the repeated L-octet string with the least
+    hash; of strings that tie on it, the one whose second copy comes
+    first.  The repeated strings are the L-octet prefixes of equal
+    sorted neighbours, and the strings at the last 7 offsets that occur
+    twice.
     """
     n = len(data)
     longest = 0
+    repeated = []  # repeated strings of the length found, as big-endian ints
     if n > 8:
         windows = np.concatenate(
             [np.frombuffer(data, ">u8", count=(n - k) // 8, offset=k) for k in range(8)],
             dtype=np.uint64)
         windows.sort()
-        closest = int((windows[1:] ^ windows[:-1]).min())
+        gaps = windows[1:] ^ windows[:-1]
+        closest = int(gaps.min())
         if closest == 0:
-            return 8
+            return 8, None
         longest = (64 - closest.bit_length()) // 8
+        if longest:
+            shift = 64 - 8 * longest
+            near = gaps < np.uint64(1 << shift)  # the first `longest` octets agree
+            repeated = (windows[1:][near] >> np.uint64(shift)).tolist()
     for j in range(max(n - 7, 0), n):
         for length in range(longest + 1, n - j + 1):
             sub = data[j:j + length]
             if data.find(sub) == j and data.find(sub, j + 1) == -1:
                 break
             longest = length
-    return longest
+            repeated = []  # no full window holds a repeat this long
+    if not longest:
+        return 0, None
+    for j in range(max(n - 7, 0), n - longest + 1):
+        sub = data[j:j + longest]
+        if data.find(sub) != j or data.find(sub, j + 1) != -1:
+            repeated.append(int.from_bytes(sub, "big"))
+    strings = np.unique(np.array(repeated, dtype=np.uint64))
+    hashes = np.zeros_like(strings)
+    for k in range(longest):  # Horner's rule, first octet highest
+        octet = (strings >> np.uint64(8 * (longest - 1 - k))) & np.uint64(0xFF)
+        hashes = hashes * np.uint64(_HASH_BASE) + octet
+    copies = []
+    for value in strings[hashes == hashes.min()].tolist():
+        sub = value.to_bytes(longest, "big")
+        i = data.find(sub)
+        copies.append((data.find(sub, i + 1), i))
+    j, i = min(copies)
+    return longest, (i, j)
 
 
-def _grow_repeat(data: bytes, csum: np.ndarray, powers: np.ndarray, lo: int) -> int:
-    """The longest repeat, given that one of `lo` octets exists.
+def _grow_repeat(data: bytes, csum: np.ndarray, powers: np.ndarray,
+                 lo: int) -> tuple[int, tuple[int, int] | None]:
+    """The longest repeat and its witness, given that a repeat of `lo`
+    octets exists.
 
     Whether a repeat of length L exists is monotone in L, so lengths
     2 lo, 4 lo, ... are probed until one has no repeat, and the last gap
-    is bisected.
+    is bisected.  The witness is the last successful probe's, which was
+    at the final length; `lo` itself is probed only if no longer length
+    repeats.
     """
     hi = len(data) - 1
+    witness = None
     length = 2 * lo
     while length <= hi:
-        if not _find_repeat(data, csum, powers, length):
+        found = _find_repeat(data, csum, powers, length)
+        if not found:
             hi = length - 1
             break
-        lo = length
+        lo, witness = length, found
         length *= 2
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _find_repeat(data, csum, powers, mid):
-            lo = mid
+        found = _find_repeat(data, csum, powers, mid)
+        if found:
+            lo, witness = mid, found
         else:
             hi = mid - 1
-    return lo
+    return lo, witness or _find_repeat(data, csum, powers, lo)
 
 
 def periodicity(data: bytes, min_len: int = 2) -> PeriodicityReport:
     """Scan for global block repetition and the longest repeated
     substring.
 
-    One sort of every 8-octet window gives the longest repeat when it is
-    shorter than 8 octets.  Only when two full windows are equal do
-    verified rolling-hash probes take over, doubling from 8 and then
-    bisecting.  The witness comes from one hash probe at the longest
-    repeat: of the equal windows in stable hash order, the first pair
-    whose bytes match.
+    One sort of every 8-octet window gives the longest repeat, and its
+    witness, when it is shorter than 8 octets.  Only when two full
+    windows are equal do verified rolling-hash probes take over,
+    doubling from 8 and then bisecting.  Either way the witness is the
+    pair of equal windows of the longest repeat that comes first in
+    stable hash order.
     """
     if min_len < 2:
         raise ValueError("min_len must be at least 2")
     data = bytes(data)
     if len(data) < 2:
         return PeriodicityReport(None, 0, None)
-    longest = _longest_short_repeat(data)
-    witness = None
-    if longest:
+    longest, witness = _short_repeat(data)
+    if longest == 8:
         csum, powers = _prefix_arrays(np.frombuffer(data, dtype=np.uint8))
-        if longest == 8:
-            longest = _grow_repeat(data, csum, powers, longest)
-        witness = _find_repeat(data, csum, powers, longest)
+        longest, witness = _grow_repeat(data, csum, powers, longest)
     return PeriodicityReport(_global_period(data, min_len), longest, witness)

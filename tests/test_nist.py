@@ -163,12 +163,21 @@ def walk_excursion(steps):
     return excursion
 
 
+# The walk is taken an octet at a time, with the last n % 8 bits stepped
+# one by one: lengths 100-107 and 5001-5007 leave every remainder.
 @pytest.mark.parametrize("bits", [
     random_bits(5_000, seed=21),
     (np.random.default_rng(22).random(5_000) < 0.3).astype(np.uint8),
     (np.random.default_rng(23).random(5_000) < 0.55).astype(np.uint8),
     np.array([0] * 300 + [1] * 700, dtype=np.uint8),  # backward walk is longer
-], ids=["random", "biased-0.3", "biased-0.55", "down-then-up"])
+    *(random_bits(n, seed=n) for n in range(100, 108)),
+    *((np.random.default_rng(n).random(n) < 0.45).astype(np.uint8) for n in range(5001, 5008)),
+    np.ones(1003, dtype=np.uint8),
+    np.zeros(1005, dtype=np.uint8),
+], ids=["random", "biased-0.3", "biased-0.55", "down-then-up",
+        *(f"random-{n}" for n in range(100, 108)),
+        *(f"biased-0.45-{n}" for n in range(5001, 5008)),
+        "all-ones", "all-zeros"])
 def test_cumulative_sums_matches_reversed_walk(bits):
     steps = [2 * int(b) - 1 for b in bits]
     z_fwd = walk_excursion(steps)

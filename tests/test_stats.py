@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from separ.analysis import (
@@ -15,6 +15,7 @@ from separ.analysis import (
     histogram,
     periodicity,
 )
+from separ.analysis import stats
 from separ.analysis.stats import PeriodicityReport, hamming_distance
 from separ.core import Separ
 
@@ -157,6 +158,55 @@ def test_autocorrelation_matches_numpy(rng):
         assert corr[lag - 1] == pytest.approx(expected, abs=1e-12)
 
 
+def reference_autocorrelation(data, max_lag):
+    """One np.dot per lag over prefix-sum normalisation: the loop the
+    blocked matrix products replaced, kept as the reference."""
+    n = len(data)
+    x = np.frombuffer(bytes(data), dtype=np.uint8).astype(np.float64)
+    csum = np.concatenate([[0.0], np.cumsum(x)])
+    csum2 = np.concatenate([[0.0], np.cumsum(x * x)])
+    out = np.empty(max_lag)
+    for lag in range(1, max_lag + 1):
+        m = n - lag
+        sa, sa2 = csum[m], csum2[m]
+        sb = csum[n] - csum[lag]
+        sb2 = csum2[n] - csum2[lag]
+        dot = float(np.dot(x[:m], x[lag:]))
+        cov = dot - sa * sb / m
+        var_a = sa2 - sa * sa / m
+        var_b = sb2 - sb * sb / m
+        if var_a <= 0 or var_b <= 0:
+            out[lag - 1] = math.nan
+        else:
+            out[lag - 1] = cov / math.sqrt(var_a * var_b)
+    return out
+
+
+# Random stretches and constant runs: the runs make some lags' slices
+# constant, where the correlation is NaN.  Lengths reach past three
+# blocks of rows, so partial last rows and lags past one block occur.
+stretch = st.one_of(
+    st.binary(min_size=1, max_size=150),
+    st.tuples(st.integers(0, 255), st.integers(1, 300)).map(lambda t: bytes([t[0]]) * t[1]))
+autocorrelation_input = st.lists(stretch, min_size=1, max_size=6).map(
+    lambda parts: b"".join(parts)[:3 * stats._LAG_BLOCK + 8]).filter(lambda d: len(d) >= 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=autocorrelation_input, pick=st.data())
+def test_autocorrelation_is_bit_exact(data, pick):
+    max_lag = pick.draw(st.integers(1, len(data) - 1), label="max_lag")
+    np.testing.assert_array_equal(autocorrelation(data, max_lag),
+                                  reference_autocorrelation(data, max_lag))
+
+
+def test_autocorrelation_keystream_is_bit_exact():
+    rng = random.Random(9)
+    stream = Separ(rng.randbytes(32)).keystream(rng.randbytes(16), 500_000)
+    np.testing.assert_array_equal(autocorrelation(stream, 1024),
+                                  reference_autocorrelation(stream, 1024))
+
+
 # ---------------------------------------------------------------------------
 # periodicity
 # ---------------------------------------------------------------------------
@@ -281,6 +331,12 @@ def test_periodicity_repeat_split_by_a_hash_collision(n):
 # 8-octet windows, plus a bytes.find check of the windows that start in
 # the last 7 octets; the hash probes run only from 8 octets up.
 
+def probe_witness(data, length):
+    """The witness of the rolling-hash probe at `length`."""
+    arr = np.frombuffer(data, dtype=np.uint8)
+    return stats._find_repeat(data, *stats._prefix_arrays(arr), length)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.integers(2, 256).flatmap(
            lambda size: st.lists(st.integers(0, size - 1), max_size=300).map(bytes)),
@@ -304,6 +360,7 @@ def test_periodicity_repeat_ending_in_last_seven_octets(length, tail):
     assert len(data) - tail == 2 * length + 40  # the second copy ends there
     rep = check_against_brute_force(data)
     assert rep == PeriodicityReport(None, length, (0, length + 40))
+    assert rep.witness == probe_witness(data, length)
 
 
 @pytest.mark.parametrize("length", [7, 8, 9])
@@ -331,3 +388,65 @@ def test_periodicity_short_inputs(n):
     rng = random.Random(n)
     for _ in range(50):
         check_against_brute_force(rng.randbytes(n))
+
+
+# Below 8 octets the witness comes from the sorted windows, not from a
+# hash probe; it must be the pair the probe at the longest repeat gives.
+# Lengths are capped near size**3 so that small alphabets mostly give
+# repeats shorter than 8, and start past size so that some octet repeats.
+@settings(max_examples=300, deadline=None)
+@given(data=st.integers(2, 256).flatmap(
+           lambda size: st.binary(min_size=size + 1,
+                                  max_size=max(size + 1, min(400, 2 * size ** 3))).map(
+               lambda raw: bytes(octet % size for octet in raw))))
+def test_periodicity_short_witness_is_the_probe_witness(data):
+    rep = periodicity(data)
+    assume(0 < rep.longest_repeat < 8)
+    assert rep.witness == probe_witness(data, rep.longest_repeat)
+
+
+def string_hash(s):
+    h = 0
+    for octet in s:
+        h = (h * stats._HASH_BASE + octet) % (1 << 64)
+    return h
+
+
+def test_periodicity_witness_is_least_hash_not_first_copy():
+    # Two repeated 3-octet strings; the one with the smaller hash has
+    # both copies after the other's.
+    distinct = bytes(random.Random(7).sample(range(256), 200))
+    a, b = sorted([distinct[:3], distinct[3:6]], key=string_hash)
+    filler = distinct[6:]
+    data = b + filler[:40] + b + filler[40:80] + a + filler[80:120] + a + filler[120:]
+    rep = check_against_brute_force(data)
+    first = data.find(a)
+    assert rep.witness == (first, data.find(a, first + 1)) == probe_witness(data, 3)
+
+
+def test_periodicity_keystream_hashes_nothing(monkeypatch):
+    def hashed(*args):
+        raise AssertionError("the short-repeat path probed the rolling hash")
+    monkeypatch.setattr(stats, "_prefix_arrays", hashed)
+    monkeypatch.setattr(stats, "_find_repeat", hashed)
+    rng = random.Random(5)
+    stream = Separ(rng.randbytes(32)).keystream(rng.randbytes(16), 50_000)
+    rep = periodicity(stream)
+    assert 0 < rep.longest_repeat < 8
+
+
+def test_periodicity_probes_each_length_once(monkeypatch):
+    # The witness is the successful probe's at the final length, so no
+    # length is hashed twice.
+    probed = []
+    find_repeat = stats._find_repeat
+
+    def counting(data, csum, powers, length):
+        probed.append(length)
+        return find_repeat(data, csum, powers, length)
+    monkeypatch.setattr(stats, "_find_repeat", counting)
+    for length in (8, 9, 40, 200):
+        probed.clear()
+        rep = periodicity(planted(length, 30, 10))
+        assert rep == PeriodicityReport(None, length, (0, length + 30))
+        assert len(probed) == len(set(probed)), probed
