@@ -193,8 +193,9 @@ def _words(data: bytes) -> array:
 
 
 def _octets(words: Iterable[int]) -> bytes:
-    """Inverse of :func:`_words`."""
-    packed = array("H", words)
+    """Inverse of :func:`_words`.  An ``array('H')`` is byteswapped in
+    place rather than copied, so it is spent afterwards."""
+    packed = words if isinstance(words, array) else array("H", words)
     if sys.byteorder == "little":
         packed.byteswap()
     return packed.tobytes()
@@ -352,11 +353,20 @@ class LfsrSpec:
 
 
 @functools.lru_cache(maxsize=32)
+def _lfsr_next(taps: int) -> array:
+    """The LFSR clock as a table: the successor of each 16-bit state (0
+    maps to 0).  The register shifts left and the parity of the tapped
+    bits enters at bit 0."""
+    x = np.arange(1 << WORD_BITS, dtype=np.uint16)
+    return array("H", ((x << 1) | (np.bitwise_count(x & taps) & 1)).tobytes())
+
+
+@functools.lru_cache(maxsize=32)
 def _is_maximal_length(taps: int) -> bool:
+    nxt = _lfsr_next(taps)
     state = 1
     for step in range(1, 1 << WORD_BITS):
-        fb = (state & taps).bit_count() & 1
-        state = ((state << 1) | fb) & MASK16
+        state = nxt[state]
         if state == 1:
             return step == (1 << WORD_BITS) - 1
     return False
@@ -367,10 +377,9 @@ DEFAULT_LFSR = LfsrSpec()
 
 def lfsr_clock(lfsr: int, spec: LfsrSpec = DEFAULT_LFSR) -> int:
     """Advance the LFSR one step.  The all-zero state is rejected."""
-    if lfsr == 0:
-        raise ValueError("LFSR state must be nonzero")
-    fb = (lfsr & spec.taps).bit_count() & 1
-    return ((lfsr << 1) | fb) & MASK16
+    if not 0 < lfsr <= MASK16:
+        raise ValueError(f"LFSR state must be a nonzero 16-bit word, got {lfsr!r}")
+    return _lfsr_next(spec.taps)[lfsr]
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +428,7 @@ class Separ:
         self.segments = split_master_key(key)
         self.subkeys = tuple(derive_subkeys(seg, seg.index) for seg in self.segments)
         self.lfsr_spec = lfsr_spec
+        self._lfsr_table = _lfsr_next(lfsr_spec.taps)
         self._stages = tuple(map(_Stage, self.subkeys))
         self._inverse_stages = tuple(map(_InverseStage, self.subkeys))
         self._enc_tables: list[array] | None = None
@@ -458,6 +468,8 @@ class Separ:
         new state3 sees the already-updated state4, and the new state5
         sees the already-clocked LFSR.
         """
+        if not 0 <= pt <= MASK16:
+            raise ValueError(f"plaintext word out of range: {pt!r}")
         return self._encrypt_words(st, (pt,), self._stages)[0]
 
     def decrypt_word(self, st: CipherState, ct: int) -> int:
@@ -467,6 +479,8 @@ class Separ:
         A desynchronized state yields garbage plaintext, not an error:
         the machine has no way to detect it.
         """
+        if not 0 <= ct <= MASK16:
+            raise ValueError(f"ciphertext word out of range: {ct!r}")
         return self._decrypt_words(st, (ct,), self._inverse_stages)[0]
 
     # -- the word loops ---------------------------------------------------
@@ -487,73 +501,89 @@ class Separ:
     # The only place the state update and the LFSR clock are written, one
     # loop per direction.  `stages` are the eight enc_block (or dec_block)
     # lookups: the per-key tables, or the stage objects on the shared
-    # round tables, which index alike.
+    # round tables, which index alike.  Both take any index in
+    # [-2**16, 2**16) and wrap it mod 2**16 as an array('H') of 2**16
+    # entries does, so the loops leave most reductions to the lookups.
 
     def _encrypt_words(self, st: CipherState, words: Iterable[int],
                        stages: Sequence) -> array:
-        if not st.lfsr:
-            raise ValueError("LFSR state must be nonzero")
         t1, t2, t3, t4, t5, t6, t7, t8 = stages
-        taps = self.lfsr_spec.taps
+        nxt = self._lfsr_table
         s1, s2, s3, s4, s5, s6, s7, s8 = st.states
         lfsr = st.lfsr
+        if not lfsr:
+            raise ValueError("LFSR state must be nonzero")
+        if (s1 | s2 | s3 | s4 | s5 | s6 | s7 | s8 | lfsr) >> 16:
+            raise ValueError("state words and LFSR must be 16-bit words")
+        # The state words are held as s - 2**16, in [-2**16, 0), so every
+        # index v + s lies in [-2**16, 2**16); `x | -0x10000` is
+        # (x mod 2**16) - 2**16 for any int x.
+        s1 -= 0x10000
+        s2 -= 0x10000
+        s3 -= 0x10000
+        s4 -= 0x10000
+        s5 -= 0x10000
+        s6 -= 0x10000
+        s7 -= 0x10000
+        s8 -= 0x10000
         out = array("H")
+        append = out.append
         for pt in words:
-            v12 = t1[(pt + s1) & MASK16]
-            v23 = t2[(v12 + s2) & MASK16]
-            v34 = t3[(v23 + s3) & MASK16]
-            v45 = t4[(v34 + s4) & MASK16]
-            v56 = t5[(v45 + s5) & MASK16]
-            v67 = t6[(v56 + s6) & MASK16]
-            v78 = t7[(v67 + s7) & MASK16]
-            out.append(t8[(v78 + s8) & MASK16])
-            lfsr = ((lfsr << 1) | ((lfsr & taps).bit_count() & 1)) & MASK16
-            new4 = (v12 + v45 + s8) & MASK16
-            s1, s2, s3, s4, s5, s6, s7, s8 = (
-                (v34 + v23 + v78 + s5) & MASK16,
-                (v12 + v56 + s6) & MASK16,
-                (v23 + new4 + s1) & MASK16,
-                new4,
-                (v23 + lfsr) & MASK16,
-                (v12 + v45 + s7) & MASK16,
-                (v23 + v67) & MASK16,
-                v45,
-            )
-        st.states = [s1, s2, s3, s4, s5, s6, s7, s8]
+            v12 = t1[pt + s1]
+            v23 = t2[v12 + s2]
+            v34 = t3[v23 + s3]
+            v45 = t4[v34 + s4]
+            v56 = t5[v45 + s5]
+            v67 = t6[v56 + s6]
+            v78 = t7[v67 + s7]
+            append(t8[v78 + s8])
+            lfsr = nxt[lfsr]
+            s4 = (v12 + v45 + s8) | -0x10000
+            s3 = (v23 + s4 + s1) | -0x10000
+            s1 = (v34 + v23 + v78 + s5) | -0x10000
+            s5 = (v23 + lfsr) | -0x10000
+            s2 = (v12 + v56 + s6) | -0x10000
+            s6 = (v12 + v45 + s7) | -0x10000
+            s7 = (v23 + v67) | -0x10000
+            s8 = v45 | -0x10000
+        st.states = [s1 & 0xFFFF, s2 & 0xFFFF, s3 & 0xFFFF, s4 & 0xFFFF,
+                     s5 & 0xFFFF, s6 & 0xFFFF, s7 & 0xFFFF, s8 & 0xFFFF]
         st.lfsr = lfsr
         st.t += len(out)
         return out
 
     def _decrypt_words(self, st: CipherState, words: Iterable[int],
                        stages: Sequence) -> array:
-        if not st.lfsr:
-            raise ValueError("LFSR state must be nonzero")
         d1, d2, d3, d4, d5, d6, d7, d8 = stages
-        taps = self.lfsr_spec.taps
+        nxt = self._lfsr_table
         s1, s2, s3, s4, s5, s6, s7, s8 = st.states
         lfsr = st.lfsr
+        if not lfsr:
+            raise ValueError("LFSR state must be nonzero")
+        if (s1 | s2 | s3 | s4 | s5 | s6 | s7 | s8 | lfsr) >> 16:
+            raise ValueError("state words and LFSR must be 16-bit words")
         out = array("H")
+        append = out.append
+        # Each stage value d[x] - s lies in (-2**16, 2**16) and indexes the
+        # next lookup unreduced; only the output and the state are masked.
         for ct in words:
-            v78 = (d8[ct] - s8) & MASK16
-            v67 = (d7[v78] - s7) & MASK16
-            v56 = (d6[v67] - s6) & MASK16
-            v45 = (d5[v56] - s5) & MASK16
-            v34 = (d4[v45] - s4) & MASK16
-            v23 = (d3[v34] - s3) & MASK16
-            v12 = (d2[v23] - s2) & MASK16
-            out.append((d1[v12] - s1) & MASK16)
-            lfsr = ((lfsr << 1) | ((lfsr & taps).bit_count() & 1)) & MASK16
-            new4 = (v12 + v45 + s8) & MASK16
-            s1, s2, s3, s4, s5, s6, s7, s8 = (
-                (v34 + v23 + v78 + s5) & MASK16,
-                (v12 + v56 + s6) & MASK16,
-                (v23 + new4 + s1) & MASK16,
-                new4,
-                (v23 + lfsr) & MASK16,
-                (v12 + v45 + s7) & MASK16,
-                (v23 + v67) & MASK16,
-                v45,
-            )
+            v78 = d8[ct] - s8
+            v67 = d7[v78] - s7
+            v56 = d6[v67] - s6
+            v45 = d5[v56] - s5
+            v34 = d4[v45] - s4
+            v23 = d3[v34] - s3
+            v12 = d2[v23] - s2
+            append((d1[v12] - s1) & 0xFFFF)
+            lfsr = nxt[lfsr]
+            s4 = (v12 + v45 + s8) & 0xFFFF
+            s3 = (v23 + s4 + s1) & 0xFFFF
+            s1 = (v34 + v23 + v78 + s5) & 0xFFFF
+            s5 = (v23 + lfsr) & 0xFFFF
+            s2 = (v12 + v56 + s6) & 0xFFFF
+            s6 = (v12 + v45 + s7) & 0xFFFF
+            s7 = (v23 + v67) & 0xFFFF
+            s8 = v45 & 0xFFFF
         st.states = [s1, s2, s3, s4, s5, s6, s7, s8]
         st.lfsr = lfsr
         st.t += len(out)
@@ -563,10 +593,11 @@ class Separ:
 
     # Below this many words, stepping word by word on the shared-table
     # stages beats building a fresh key's tables.  On a shared 2-CPU host
-    # (Python 3.11, numpy 2.4), with a fresh key, 2048 words took 18.0
-    # and 18.3 ms word by word against 19.4 and 19.0 ms for the tables
-    # plus the loop (medians of 15, two runs); at 1536 words the stages
-    # won clearly, at 3072 the tables (28-30 ms against 21-23 ms).
+    # (Python 3.11, numpy 2.4), with a fresh key, 2048 words took 17.3
+    # and 14.9 ms word by word against 15.2 and 14.3 ms for the tables
+    # plus the loop (encryption, medians of 15, two runs); at 1536 words
+    # the stages won (13.0 and 10.5 ms against 14.1 and 13.3 ms), at 3072
+    # the tables (16.9 and 16.6 ms against 25.1 and 24.8 ms).
     _BULK_THRESHOLD = 2048
 
     def encrypt(self, nonce: bytes | Sequence[int], data: bytes,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from separ.core import DEFAULT_LFSR, LfsrSpec, lfsr_clock
+from reference_oracle import ref_lfsr_step
+from separ.core import DEFAULT_LFSR, LfsrSpec, _lfsr_next, lfsr_clock
 
 
 def lfsr_period(seed: int, spec: LfsrSpec = DEFAULT_LFSR) -> int:
@@ -42,8 +43,24 @@ def test_no_short_cycle():
 
 
 def test_zero_state_rejected():
-    with pytest.raises(ValueError):
-        lfsr_clock(0)
+    for bad in (0, 0x10000, -1):
+        with pytest.raises(ValueError):
+            lfsr_clock(bad)
+
+
+def test_successor_table_matches_oracle():
+    nxt = _lfsr_next(DEFAULT_LFSR.taps)
+    assert len(nxt) == 1 << 16 and nxt[0] == 0
+    assert all(nxt[x] == ref_lfsr_step(x) for x in range(1, 1 << 16))
+
+
+def test_successor_table_other_taps():
+    """Against a bit-by-bit step: shift left, the parity of the tapped
+    bits (15, 13, 12, 10 for 0xB400) entering at bit 0."""
+    nxt = _lfsr_next(0xB400)
+    for x in range(1, 1 << 16):
+        fb = ((x >> 15) ^ (x >> 13) ^ (x >> 12) ^ (x >> 10)) & 1
+        assert nxt[x] == ((x << 1) & 0xFFFF) | fb
 
 
 @pytest.mark.parametrize("taps", [0x0001, 0x0003, 0xFFFF])

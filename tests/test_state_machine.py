@@ -1,6 +1,8 @@
 """Initialization and the word-at-a-time encrypt/decrypt machine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from reference_oracle import ref_encrypt_words, ref_initialize
 from separ.core import (
@@ -176,7 +178,84 @@ def test_bad_nonce_rejected():
 
 @pytest.mark.parametrize("step", ["encrypt_word", "decrypt_word"])
 def test_word_step_rejects_zero_lfsr(step):
-    st = CipherState([0] * 8, lfsr=0)
-    with pytest.raises(ValueError, match="LFSR"):
-        getattr(Separ(bytes(32)), step)(st, 0x1234)
-    assert st == CipherState([0] * 8, lfsr=0)
+    """Also a state word or LFSR outside [0, 2**16); st is left as it was."""
+    cipher = Separ(bytes(32))
+    for states, lfsr in (([0] * 8, 0), ([0] * 7 + [0x10000], 1),
+                         ([-1] + [0] * 7, 1), ([0] * 8, 0x10000)):
+        st = CipherState(list(states), lfsr)
+        with pytest.raises(ValueError, match="LFSR"):
+            getattr(cipher, step)(st, 0x1234)
+        assert st == CipherState(states, lfsr)
+
+
+@pytest.mark.parametrize("step", ["encrypt_word", "decrypt_word"])
+@pytest.mark.parametrize("word", [0x10000, 0x1FFFF, -1])
+def test_word_step_rejects_out_of_range_word(step, word):
+    cipher = Separ(bytes(32))
+    st = cipher.initialize(bytes(16))
+    before = st.copy()
+    with pytest.raises(ValueError, match="word out of range"):
+        getattr(cipher, step)(st, word)
+    assert st == before
+
+
+def _straight_step(cipher, st, pt):
+    """One encryption step from enc_block, modadd and lfsr_clock alone:
+    the ciphertext word and the next state."""
+    v12, v23, v34, v45, v56, v67, v78, ct = _whitebox_vs(cipher, st, pt)
+    s = st.states
+    lfsr = lfsr_clock(st.lfsr)
+    new4 = modadd(modadd(v12, v45), s[7])
+    states = [modadd(modadd(modadd(v34, v23), v78), s[4]),
+              modadd(modadd(v12, v56), s[5]),
+              modadd(modadd(v23, new4), s[0]),
+              new4,
+              modadd(v23, lfsr),
+              modadd(modadd(v12, v45), s[6]),
+              modadd(v23, v67),
+              v45]
+    return ct, CipherState(states, lfsr, st.t + 1)
+
+
+# The words where an index v + s or an update sum crosses a multiple of
+# 2**16, mixed with any 16-bit word.
+_EDGE_WORDS = hs.sampled_from([0, 1, 0x7FFF, 0x8000, 0xFFFE, 0xFFFF]) | hs.integers(0, 0xFFFF)
+
+
+@pytest.fixture(scope="module")
+def tabled_cipher():
+    cipher = Separ(bytes(range(32)))
+    cipher._tables()
+    cipher._tables(inverse=True)
+    return cipher
+
+
+@settings(max_examples=150, deadline=None)
+@given(states=hs.lists(_EDGE_WORDS, min_size=8, max_size=8),
+       lfsr=hs.integers(1, 0xFFFF),
+       pts=hs.lists(_EDGE_WORDS, min_size=1, max_size=6))
+def test_word_loops_wrap_at_boundaries(tabled_cipher, states, lfsr, pts):
+    """From hand-built states, both encryption paths (the stage objects
+    through encrypt_word, the loop on the key's tables) match the
+    straight-line step in output and final state, and both decryption
+    paths invert them."""
+    cipher = tabled_cipher
+    start = CipherState(states, lfsr)
+    expect, cts = start, []
+    for pt in pts:
+        ct, expect = _straight_step(cipher, expect, pt)
+        cts.append(ct)
+
+    scalar = start.copy()
+    assert [cipher.encrypt_word(scalar, pt) for pt in pts] == cts
+    assert scalar == expect
+    tabled = start.copy()
+    assert cipher._encrypt_words(tabled, pts, cipher._tables()).tolist() == cts
+    assert tabled == expect
+
+    scalar = start.copy()
+    assert [cipher.decrypt_word(scalar, ct) for ct in cts] == pts
+    assert scalar == expect
+    tabled = start.copy()
+    assert cipher._decrypt_words(tabled, cts, cipher._tables(inverse=True)).tolist() == pts
+    assert tabled == expect
