@@ -193,9 +193,8 @@ def _words(data: bytes) -> array:
 
 
 def _octets(words: Iterable[int]) -> bytes:
-    """Inverse of :func:`_words`.  An ``array('H')`` is byteswapped in
-    place rather than copied, so it is spent afterwards."""
-    packed = words if isinstance(words, array) else array("H", words)
+    """Inverse of :func:`_words`."""
+    packed = array("H", words)
     if sys.byteorder == "little":
         packed.byteswap()
     return packed.tobytes()
@@ -358,7 +357,10 @@ def _lfsr_next(taps: int) -> array:
     maps to 0).  The register shifts left and the parity of the tapped
     bits enters at bit 0."""
     x = np.arange(1 << WORD_BITS, dtype=np.uint16)
-    return array("H", ((x << 1) | (np.bitwise_count(x & taps) & 1)).tobytes())
+    parity = x & taps
+    for shift in (8, 4, 2, 1):
+        parity ^= parity >> shift
+    return array("H", ((x << 1) | (parity & 1)).tobytes())
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,5 +1,6 @@
 """LFSR feedback configuration and clocking."""
 
+import numpy as np
 import pytest
 
 from reference_oracle import ref_lfsr_step
@@ -61,6 +62,13 @@ def test_successor_table_other_taps():
     for x in range(1, 1 << 16):
         fb = ((x >> 15) ^ (x >> 13) ^ (x >> 12) ^ (x >> 10)) & 1
         assert nxt[x] == ((x << 1) & 0xFFFF) | fb
+
+
+def test_successor_table_builds_without_numpy2_api(monkeypatch):
+    """The package declares numpy>=1.23, which has no ``bitwise_count``
+    (added in NumPy 2.0): the table must build without it."""
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert _lfsr_next.__wrapped__(DEFAULT_LFSR.taps) == _lfsr_next(DEFAULT_LFSR.taps)
 
 
 @pytest.mark.parametrize("taps", [0x0001, 0x0003, 0xFFFF])

@@ -1,5 +1,7 @@
 """Byte-message framing, the bulk table path, and the module helpers."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,12 @@ def test_big_endian_word_mapping():
     expect = cipher.encrypt_word(st, 0xAB12)
     data = cipher.encrypt(bytes(16), bytes([0xAB, 0x12]))
     assert data == expect.to_bytes(2, "big")
+
+
+def test_octets_leaves_its_argument_unchanged():
+    words = array("H", [0xAB12, 0x0001, 0xFFFF])
+    assert _octets(words) == bytes.fromhex("ab120001ffff")
+    assert list(words) == [0xAB12, 0x0001, 0xFFFF]
 
 
 def test_roundtrip_random_messages(rng):
