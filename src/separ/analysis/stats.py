@@ -77,10 +77,22 @@ def avalanche(key: bytes, nonce: bytes, pt: bytes,
 # basic sample statistics
 # ---------------------------------------------------------------------------
 
+# Octets (or sorted windows) each kernel below takes at a time: their
+# working memory is a few times this, whatever the input's length.
+_BLOCK = 1 << 16
+
+
 def histogram(data: bytes) -> np.ndarray:
-    """256-bin symbol frequency counts; counts sum to len(data)."""
+    """256-bin symbol frequency counts; counts sum to len(data).
+
+    np.bincount widens its input to 8-byte indices, so it counts _BLOCK
+    octets at a time: working memory is 8 * _BLOCK octets (512 KiB).
+    """
     arr = np.frombuffer(bytes(data), dtype=np.uint8)
-    return np.bincount(arr, minlength=256)
+    counts = np.bincount(arr[:_BLOCK], minlength=256)
+    for start in range(_BLOCK, arr.size, _BLOCK):
+        counts += np.bincount(arr[start:start + _BLOCK], minlength=256)
+    return counts
 
 
 def entropy(data: bytes) -> float:
@@ -93,7 +105,8 @@ def entropy(data: bytes) -> float:
 
 
 # Row length, in octets, of the blocked lag products in autocorrelation:
-# each block of this many lags costs two matrix products of this width.
+# each block of this many lags costs one matrix product of this width
+# per _BLOCK of input.  It divides _BLOCK, so every block starts a row.
 _LAG_BLOCK = 128
 
 
@@ -105,36 +118,48 @@ def autocorrelation(data: bytes, max_lag: int) -> np.ndarray:
     slice has no variance to normalize by).
 
     The lag products sum(x[i] * x[i + lag]) come from matrix products.
-    The zero-padded sequence is cut into R rows of B = _LAG_BLOCK octets,
-    X, and C_t = X[:R - t].T @ X[t:] sums x[i] * x[i'] over the pairs
-    whose rows are t apart.  The pairs lag = t*B + d apart are then the
-    diagonal at offset d of [C_t | C_t+1].  Every product is at most
-    255**2 and every partial sum an integer below 2**53, so the sums are
-    exact in any order and on any BLAS.
+    The zero-padded sequence is cut into rows of B = _LAG_BLOCK octets,
+    X, and C_t, the sum over rows r of outer(X[r], X[r + t]), sums
+    x[i] * x[i'] over the pairs whose rows are t apart.  The pairs
+    lag = t*B + d apart are then the diagonal at offset d of
+    [C_t | C_t+1].  C_0 ... C_T, T = ceil(max_lag / B), are summed over
+    _BLOCK octets of rows at a time, as X[r:r + k].T @ X[r + t:r + t + k].
+    Every product is at most 255**2 and every partial sum an integer
+    below 2**53, so the sums are exact in any order and on any BLAS.
+
+    Working memory does not grow with the input: the C_t take up to
+    8 * B * (max_lag + 2 B) octets (1.1 MiB at 1024 lags), twice over
+    once they are set side by side, and one block of rows, with the T
+    rows it pairs with, 8 * (_BLOCK + max_lag + B) octets as float64.
     """
     n = len(data)
     if not 0 < max_lag < n:
         raise ValueError("max_lag must satisfy 0 < max_lag < len(data)")
+    arr = np.frombuffer(bytes(data), dtype=np.uint8)
     b = _LAG_BLOCK
-    rows = -(-n // b)
-    x = np.zeros(rows * b)
-    x[:n] = np.frombuffer(bytes(data), dtype=np.uint8)
-    rows_x = x.reshape(rows, b)
-    pair = np.zeros((b, 2 * b))  # [C_t | C_t+1]
+    last = -(-max_lag // b)
+    acc = np.zeros((last + 1, b, b))  # C_0 ... C_T
+    product = np.empty((b, b))
+    x = np.empty((-(-min(n, _BLOCK) // b) + last) * b)
+    rows_x = x.reshape(-1, b)
+    for start in range(0, n, _BLOCK):
+        octets = arr[start:start + x.size]
+        x[:octets.size] = octets
+        x[octets.size:] = 0.0
+        k = -(-min(n - start, _BLOCK) // b)  # rows in this block
+        for t in range(last + 1):
+            np.matmul(rows_x[:k].T, rows_x[t:t + k], out=product)
+            acc[t] += product
+    side_by_side = acc.transpose(1, 0, 2).reshape(b, -1)  # [C_0 | C_1 | ... | C_T]
     diagonals = np.lib.stride_tricks.as_strided(
-        pair, shape=(b, b), strides=(pair.strides[0] + pair.strides[1], pair.strides[1]))
-    blocks = max_lag // b + 1
-    dot = np.empty(blocks * b)
-    pair[:, b:] = rows_x.T @ rows_x
-    for t in range(blocks):
-        pair[:, :b] = pair[:, b:]
-        pair[:, b:] = rows_x[:rows - t - 1].T @ rows_x[t + 1:] if t + 1 < rows else 0.0
-        dot[t * b:(t + 1) * b] = diagonals.sum(axis=0)
+        side_by_side, shape=(b, max_lag + 1),
+        strides=(side_by_side.strides[0] + side_by_side.strides[1], side_by_side.strides[1]))
+    dot = diagonals.sum(axis=0)
     # The slice sums are exact integers too: the sums over x[:n - lag]
     # and x[lag:] are the total less a sum over the lag octets cut off.
-    head = x[:max_lag]
-    tail = x[n - max_lag:n][::-1]
-    total, total2 = x.sum(), dot[0]
+    head = arr[:max_lag].astype(np.float64)
+    tail = arr[n - max_lag:][::-1].astype(np.float64)
+    total, total2 = float(arr.sum()), dot[0]
     sa, sa2 = total - np.cumsum(tail), total2 - np.cumsum(tail * tail)
     sb, sb2 = total - np.cumsum(head), total2 - np.cumsum(head * head)
     m = n - np.arange(1, max_lag + 1, dtype=np.float64)
@@ -236,6 +261,14 @@ def _find_repeat(data: bytes, csum: np.ndarray, powers: np.ndarray,
     return None
 
 
+def _gap_blocks(windows: np.ndarray):
+    """The XOR of each sorted window with the one before it, and the
+    later window of each pair, for _BLOCK pairs at a time."""
+    for i in range(0, windows.size - 1, _BLOCK):
+        later = windows[i + 1:i + 1 + _BLOCK]
+        yield later ^ windows[i:i + later.size], later
+
+
 def _short_repeat(data: bytes) -> tuple[int, tuple[int, int] | None]:
     """The longest repeat and its witness if the repeat is shorter than
     8 octets, else (8, None).
@@ -255,6 +288,9 @@ def _short_repeat(data: bytes) -> tuple[int, tuple[int, int] | None]:
     first.  The repeated strings are the L-octet prefixes of equal
     sorted neighbours, and the strings at the last 7 offsets that occur
     twice.
+
+    Working memory is the 8n octets of sorted windows, which the sort
+    needs, and 9 * _BLOCK octets (576 KiB) for one block of their gaps.
     """
     n = len(data)
     longest = 0
@@ -264,15 +300,15 @@ def _short_repeat(data: bytes) -> tuple[int, tuple[int, int] | None]:
             [np.frombuffer(data, ">u8", count=(n - k) // 8, offset=k) for k in range(8)],
             dtype=np.uint64)
         windows.sort()
-        gaps = windows[1:] ^ windows[:-1]
-        closest = int(gaps.min())
+        closest = min(int(gaps.min()) for gaps, _ in _gap_blocks(windows))
         if closest == 0:
             return 8, None
         longest = (64 - closest.bit_length()) // 8
         if longest:
             shift = 64 - 8 * longest
-            near = gaps < np.uint64(1 << shift)  # the first `longest` octets agree
-            repeated = (windows[1:][near] >> np.uint64(shift)).tolist()
+            limit = np.uint64(1 << shift)  # below it, the first `longest` octets agree
+            for gaps, later in _gap_blocks(windows):
+                repeated += (later[gaps < limit] >> np.uint64(shift)).tolist()
     for j in range(max(n - 7, 0), n):
         for length in range(longest + 1, n - j + 1):
             sub = data[j:j + length]

@@ -392,11 +392,23 @@ def lfsr_clock(lfsr: int, spec: LfsrSpec = DEFAULT_LFSR) -> int:
 class CipherState:
     """The 144-bit mutable machine: eight state words, the LFSR, and a
     step counter.  One logical owner at a time; never share for
-    concurrent mutation."""
+    concurrent mutation.
+
+    Construction rejects a state no step can reach: other than eight
+    words in [0, 2**16), or an LFSR outside (0, 2**16).  The word loops
+    check again on entry, because `states` is a list callers may change.
+    """
 
     states: list[int]
     lfsr: int
     t: int = 0
+
+    def __post_init__(self) -> None:
+        if len(self.states) != 8:
+            raise ValueError(f"a state holds eight words, got {len(self.states)}")
+        s1, s2, s3, s4, s5, s6, s7, s8 = self.states
+        if not self.lfsr or (s1 | s2 | s3 | s4 | s5 | s6 | s7 | s8 | self.lfsr) >> 16:
+            raise ValueError("state words must be 16-bit words and the LFSR a nonzero one")
 
     def copy(self) -> "CipherState":
         return CipherState(list(self.states), self.lfsr, self.t)

@@ -176,16 +176,37 @@ def test_bad_nonce_rejected():
         cipher.initialize([0x10000] * 8)
 
 
+# Impossible states: a zero LFSR, or a state word or LFSR outside
+# [0, 2**16), as (index of the state word set, its value, the LFSR).
+_BAD_STATES = [(0, 0, 0), (7, 0x10000, 1), (0, -1, 1), (0, 0, 0x10000)]
+
+
 @pytest.mark.parametrize("step", ["encrypt_word", "decrypt_word"])
 def test_word_step_rejects_zero_lfsr(step):
-    """Also a state word or LFSR outside [0, 2**16); st is left as it was."""
+    """Also a state word or LFSR outside [0, 2**16); st is left as it was.
+    The state is valid when built and changed in place, as callers may."""
     cipher = Separ(bytes(32))
-    for states, lfsr in (([0] * 8, 0), ([0] * 7 + [0x10000], 1),
-                         ([-1] + [0] * 7, 1), ([0] * 8, 0x10000)):
-        st = CipherState(list(states), lfsr)
+    for i, word, lfsr in _BAD_STATES:
+        st = CipherState([0] * 8, 1)
+        st.states[i] = word
+        st.lfsr = lfsr
+        before = (list(st.states), st.lfsr, st.t)
         with pytest.raises(ValueError, match="LFSR"):
             getattr(cipher, step)(st, 0x1234)
-        assert st == CipherState(states, lfsr)
+        assert (st.states, st.lfsr, st.t) == before
+
+
+def test_state_construction_rejects_impossible_states():
+    for i, word, lfsr in _BAD_STATES:
+        states = [0] * 8
+        states[i] = word
+        with pytest.raises(ValueError, match="LFSR"):
+            CipherState(states, lfsr)
+    for count in (7, 9):
+        with pytest.raises(ValueError, match="eight words"):
+            CipherState([0] * count, 1)
+    st = CipherState([0xFFFF] * 8, 0xFFFF)
+    assert st.copy() == st
 
 
 @pytest.mark.parametrize("step", ["encrypt_word", "decrypt_word"])

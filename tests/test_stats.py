@@ -2,6 +2,8 @@
 
 import math
 import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -100,14 +102,20 @@ def test_entropy_monotonic_under_merge(rng):
 
 
 def test_histogram_counts():
-    assert (histogram(b"") == 0).all()
+    empty = histogram(b"")
+    assert empty.shape == (256,) and empty.dtype == np.intp and (empty == 0).all()
     h = histogram(b"\x00\x00\xff")
     assert h[0] == 2 and h[255] == 1 and h.sum() == 3
 
 
 def test_histogram_sums_to_length(rng):
-    data = rng.randbytes(10_000)
-    assert int(histogram(data).sum()) == len(data)
+    # Lengths of one block of octets, one either side, and several blocks.
+    for n in (10_000, stats._BLOCK - 1, stats._BLOCK, stats._BLOCK + 1, 3 * stats._BLOCK + 5):
+        data = rng.randbytes(n)
+        h = histogram(data)
+        assert h.dtype == np.intp and int(h.sum()) == len(data)
+        counts = Counter(data)
+        assert h.tolist() == [counts[v] for v in range(256)]
 
 
 def test_keystream_entropy_and_histogram_uniformity():
@@ -203,8 +211,14 @@ def test_autocorrelation_is_bit_exact(data, pick):
 def test_autocorrelation_keystream_is_bit_exact():
     rng = random.Random(9)
     stream = Separ(rng.randbytes(32)).keystream(rng.randbytes(16), 500_000)
-    np.testing.assert_array_equal(autocorrelation(stream, 1024),
-                                  reference_autocorrelation(stream, 1024))
+    # Lengths of one block of octets, one either side, several blocks and
+    # 10**6, so that lag pairs cross from one block into the next; the
+    # last case's lags pair octets more than a block apart.
+    b = stats._BLOCK
+    for n, max_lag in ((10 ** 6, 1024), (b - 1, 1024), (b, 1024), (b + 1, 1024),
+                       (3 * b + 77, 300), (b + 200, b + 100)):
+        np.testing.assert_array_equal(autocorrelation(stream[:n], max_lag),
+                                      reference_autocorrelation(stream[:n], max_lag))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +449,42 @@ def test_periodicity_keystream_hashes_nothing(monkeypatch):
     assert 0 < rep.longest_repeat < 8
 
 
+def check_against_probes(data):
+    """For inputs too long for the brute force: the longest repeat is the
+    longest length the rolling-hash probes find, and the witness theirs."""
+    rep = periodicity(data)
+    assert rep.witness == probe_witness(data, rep.longest_repeat)
+    assert probe_witness(data, rep.longest_repeat + 1) is None
+    return rep
+
+
+# n - 7 windows: one block of sorted windows, one either side, and
+# several blocks.
+@pytest.mark.parametrize("n", [stats._BLOCK + 6, stats._BLOCK + 7, stats._BLOCK + 8,
+                               3 * stats._BLOCK + 100])
+@pytest.mark.parametrize("size", [32, 256])
+def test_periodicity_at_block_lengths_matches_the_probes(n, size):
+    raw = np.random.default_rng(n).integers(0, size, n, dtype=np.uint8).tobytes()
+    assert 0 < check_against_probes(raw).longest_repeat < 8
+
+
+@pytest.mark.parametrize("below", [stats._BLOCK - 2, stats._BLOCK - 1, stats._BLOCK])
+def test_periodicity_short_repeat_across_gap_blocks(below):
+    """A 7-octet repeat whose copies are the only windows starting with
+    0x80, after exactly `below` windows starting lower: the two sort at
+    `below` and `below` + 1, so at _BLOCK - 1 their gap is the last of
+    one block and the later copy the first window of the next."""
+    rng = random.Random(below)
+    copy = bytes([0x80, 0xF1, 0xF2, 0xF3, 0xF4, 0xF5, 0xF6])
+    filler = ([rng.randrange(0x80) for _ in range(below)]
+              + [rng.randrange(0x81, 0x100) for _ in range(below)])
+    rng.shuffle(filler)
+    a, c = below // 2, below + below // 3
+    data = (bytes(filler[:a]) + copy + bytes(filler[a:c]) + copy + bytes(filler[c:])
+            + bytes(rng.randrange(0x81, 0x100) for _ in range(7)))
+    assert check_against_probes(data) == PeriodicityReport(None, 7, (a, c + 7))
+
+
 def test_periodicity_probes_each_length_once(monkeypatch):
     # The witness is the successful probe's at the final length, so no
     # length is hashed twice.
@@ -450,3 +500,29 @@ def test_periodicity_probes_each_length_once(monkeypatch):
         rep = periodicity(planted(length, 30, 10))
         assert rep == PeriodicityReport(None, length, (0, length + 30))
         assert len(probed) == len(set(probed)), probed
+
+
+# ---------------------------------------------------------------------------
+# working memory
+# ---------------------------------------------------------------------------
+
+def traced_peak(kernel, *args):
+    """Peak bytes traced while the kernel runs; tracemalloc sees numpy's
+    buffers as well as Python objects."""
+    tracemalloc.start()
+    try:
+        kernel(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# At 8 MiB entropy and autocorrelation keep the bounds they have at
+# 4 MiB; periodicity keeps the 8n octets of windows its sort needs.
+@pytest.mark.parametrize("mib", [4, 8])
+def test_kernels_work_in_bounded_memory(mib):
+    n = mib << 20
+    data = np.random.default_rng(mib).integers(0, 256, n, dtype=np.uint8).tobytes()
+    assert traced_peak(entropy, data) < 1 << 20
+    assert traced_peak(autocorrelation, data, 1024) < 8 << 20
+    assert traced_peak(periodicity, data) < 8 * n + (4 << 20)
