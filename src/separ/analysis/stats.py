@@ -183,7 +183,10 @@ class PeriodicityReport:
     period is the length of the repeating block if the whole sequence is
     a repetition of a block of at least min_len octets, else None.
     longest_repeat is the length of the longest substring occurring at
-    least twice (0 if none); the two witness offsets are included.
+    least twice (0 if none).  witness is the offsets of the first two
+    copies of the repeated string of that length with the least
+    polynomial hash (_HASH_BASE, first octet highest); of strings that
+    tie on it, the one whose second copy comes first.
     """
 
     period: int | None
@@ -217,48 +220,22 @@ def _prefix_arrays(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     base = np.uint64(_HASH_BASE)
     base_inv = np.uint64(pow(_HASH_BASE, -1, 1 << 64))
     n = arr.size
-    inv_powers = np.empty(n, dtype=np.uint64)
-    inv_powers[0] = 1
-    np.multiply.accumulate(np.full(n - 1, base_inv), out=inv_powers[1:])
-    weighted = arr.astype(np.uint64) * inv_powers
-    csum = np.concatenate([[np.uint64(0)], np.cumsum(weighted, dtype=np.uint64)])
+    csum = np.zeros(n + 1, dtype=np.uint64)
+    csum[1] = 1
+    np.multiply.accumulate(np.full(n - 1, base_inv), out=csum[2:])
+    csum[1:] *= arr
+    np.cumsum(csum[1:], out=csum[1:])
     powers = np.empty(n + 1, dtype=np.uint64)
     powers[0] = 1
     np.multiply.accumulate(np.full(n, base), out=powers[1:])
     return csum, powers
 
 
-def _window_hashes(csum: np.ndarray, powers: np.ndarray, length: int) -> np.ndarray:
-    """Hashes of every window of `length`, from the prefix arrays."""
-    n = csum.size - 1
-    return (csum[length:] - csum[:n - length + 1]) * powers[length - 1:n]
-
-
-def _find_repeat(data: bytes, csum: np.ndarray, powers: np.ndarray,
-                 length: int) -> tuple[int, int] | None:
-    """Offsets of two equal windows of `length`, verified byte-for-byte.
-
-    Runs of equal hashes are taken in sorted hash order, and each run's
-    windows in stable (offset) order; the first window whose bytes
-    match an earlier one of its run gives the pair.  Every window of a
-    run is checked, not only hash-order neighbours, so a repeat whose
-    copies are split by a colliding window is still found.
-    """
-    hashes = _window_hashes(csum, powers, length)
-    order = np.argsort(hashes, kind="stable")
-    hs = hashes[order]
-    seen: dict[bytes, int] = {}
-    prev = -2
-    for d in np.nonzero(hs[1:] == hs[:-1])[0].tolist():
-        if d != prev + 1:  # a new run of equal hashes starts at d
-            i = int(order[d])
-            seen = {data[i:i + length]: i}
-        prev = d
-        j = int(order[d + 1])
-        i = seen.setdefault(data[j:j + length], j)
-        if i != j:
-            return (i, j)
-    return None
+def _window_hashes(csum: np.ndarray, powers: np.ndarray, length: int,
+                   offsets: np.ndarray) -> np.ndarray:
+    """Hashes of the windows of `length` at `offsets`."""
+    ends = offsets + length
+    return (csum[ends] - csum[offsets]) * powers[ends - 1]
 
 
 def _gap_blocks(windows: np.ndarray):
@@ -280,14 +257,11 @@ def _short_repeat(data: bytes) -> tuple[int, tuple[int, int] | None]:
     The windows that start in the last 7 octets are shorter than 8; each
     is extended with bytes.find while it still occurs elsewhere.
 
-    The witness is the pair _find_repeat gives at the longest repeat L,
-    found without hashing every window.  All copies of a string hash
-    alike and runs are taken in ascending hash order, so that pair is
-    the first two copies of the repeated L-octet string with the least
-    hash; of strings that tie on it, the one whose second copy comes
-    first.  The repeated strings are the L-octet prefixes of equal
-    sorted neighbours, and the strings at the last 7 offsets that occur
-    twice.
+    The witness is the first two copies of the repeated L-octet string
+    with the least hash; of strings that tie on it, the one whose second
+    copy comes first.  Only the repeated strings are hashed: the L-octet
+    prefixes of equal sorted neighbours, and the strings at the last 7
+    offsets that occur twice.
 
     Working memory is the 8n octets of sorted windows, which the sort
     needs, and 9 * _BLOCK octets (576 KiB) for one block of their gaps.
@@ -336,35 +310,64 @@ def _short_repeat(data: bytes) -> tuple[int, tuple[int, int] | None]:
     return longest, (i, j)
 
 
-def _grow_repeat(data: bytes, csum: np.ndarray, powers: np.ndarray,
-                 lo: int) -> tuple[int, tuple[int, int] | None]:
-    """The longest repeat and its witness, given that a repeat of `lo`
-    octets exists.
+def _pair_keys(rank: np.ndarray, width: int, length: int) -> np.ndarray:
+    """One uint64 key per window of `length`, width <= length <= 2 width:
+    the ranks of its first and of its last `width` octets."""
+    keys = rank[:rank.size + width - length].astype(np.uint64) << np.uint64(32)
+    keys |= rank[length - width:]
+    return keys
 
-    Whether a repeat of length L exists is monotone in L, so lengths
-    2 lo, 4 lo, ... are probed until one has no repeat, and the last gap
-    is bisected.  The witness is the last successful probe's, which was
-    at the final length; `lo` itself is probed only if no longer length
-    repeats.
+
+def _long_repeat(data: bytes) -> tuple[int, tuple[int, int]]:
+    """The longest repeat and its witness, given that two windows of 8
+    octets are equal.
+
+    Prefix doubling (Manber and Myers, "Suffix arrays", SODA 1990):
+    rank[i] orders the windows of `width` octets, from single octets up,
+    and one sort of the pairs (rank[i], rank[i + width]) ranks those of
+    2 width octets, until none of them repeats.  A repeat of L octets
+    exists for every L up to the longest, so the last gap is bisected on
+    the pairs (rank[i], rank[i + L - width]).
+
+    Each pair of equal neighbours among the final keys, in stable order,
+    is two successive copies of a repeated string, its earliest pair its
+    first two copies.  Hashes only order the strings for the witness;
+    the sorts decide what repeats.
     """
-    hi = len(data) - 1
-    witness = None
-    length = 2 * lo
-    while length <= hi:
-        found = _find_repeat(data, csum, powers, length)
-        if not found:
-            hi = length - 1
+    n = len(data)
+    rank = np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
+    width = 1
+    while 2 * width < n:
+        keys = _pair_keys(rank, width, 2 * width)
+        order = keys.argsort()
+        keys = keys[order]
+        step = keys[1:] != keys[:-1]
+        if step.all():
             break
-        lo, witness = length, found
-        length *= 2
+        rank = np.zeros(order.size, dtype=np.uint32)
+        rank[order[1:]] = np.cumsum(step, dtype=np.uint32)
+        width *= 2
+    lo, hi = width, min(2 * width, n) - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        found = _find_repeat(data, csum, powers, mid)
-        if found:
-            lo, witness = mid, found
+        keys = _pair_keys(rank, width, mid)
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            lo = mid
         else:
             hi = mid - 1
-    return lo, witness or _find_repeat(data, csum, powers, lo)
+    keys = _pair_keys(rank, width, lo)
+    del rank, order
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    equal = np.flatnonzero(keys[1:] == keys[:-1])
+    copies, later = order[equal], order[equal + 1]
+    del keys, order
+    csum, powers = _prefix_arrays(np.frombuffer(data, dtype=np.uint8))
+    hashes = _window_hashes(csum, powers, lo, copies)
+    least = np.flatnonzero(hashes == hashes.min())
+    k = least[np.argmin(later[least])]
+    return lo, (int(copies[k]), int(later[k]))
 
 
 def periodicity(data: bytes, min_len: int = 2) -> PeriodicityReport:
@@ -373,10 +376,8 @@ def periodicity(data: bytes, min_len: int = 2) -> PeriodicityReport:
 
     One sort of every 8-octet window gives the longest repeat, and its
     witness, when it is shorter than 8 octets.  Only when two full
-    windows are equal do verified rolling-hash probes take over,
-    doubling from 8 and then bisecting.  Either way the witness is the
-    pair of equal windows of the longest repeat that comes first in
-    stable hash order.
+    windows are equal does prefix doubling of ranks take over, in time
+    O(n log^2 n) and about 30n octets of working memory.
     """
     if min_len < 2:
         raise ValueError("min_len must be at least 2")
@@ -385,6 +386,5 @@ def periodicity(data: bytes, min_len: int = 2) -> PeriodicityReport:
         return PeriodicityReport(None, 0, None)
     longest, witness = _short_repeat(data)
     if longest == 8:
-        csum, powers = _prefix_arrays(np.frombuffer(data, dtype=np.uint8))
-        longest, witness = _grow_repeat(data, csum, powers, longest)
+        longest, witness = _long_repeat(data)
     return PeriodicityReport(_global_period(data, min_len), longest, witness)

@@ -343,12 +343,28 @@ def test_periodicity_repeat_split_by_a_hash_collision(n):
 
 # The longest repeat shorter than 8 octets comes from one sort of the
 # 8-octet windows, plus a bytes.find check of the windows that start in
-# the last 7 octets; the hash probes run only from 8 octets up.
+# the last 7 octets; prefix doubling runs only from 8 octets up.
 
-def probe_witness(data, length):
-    """The witness of the rolling-hash probe at `length`."""
-    arr = np.frombuffer(data, dtype=np.uint8)
-    return stats._find_repeat(data, *stats._prefix_arrays(arr), length)
+def string_hash(s):
+    h = 0
+    for octet in s:
+        h = (h * stats._HASH_BASE + octet) % (1 << 64)
+    return h
+
+
+def reference_witness(data, length):
+    """The witness from its definition: the first two copies of the
+    repeated `length`-octet string with the least hash; of strings that
+    tie on it, the one whose second copy comes first.  None if no
+    string of that length repeats."""
+    first, pairs = {}, {}
+    for j in range(len(data) - length + 1):
+        i = first.setdefault(data[j:j + length], j)
+        if i != j:
+            pairs.setdefault(data[j:j + length], (i, j))
+    if not pairs:
+        return None
+    return min(pairs.items(), key=lambda item: (string_hash(item[0]), item[1][1]))[1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -374,7 +390,7 @@ def test_periodicity_repeat_ending_in_last_seven_octets(length, tail):
     assert len(data) - tail == 2 * length + 40  # the second copy ends there
     rep = check_against_brute_force(data)
     assert rep == PeriodicityReport(None, length, (0, length + 40))
-    assert rep.witness == probe_witness(data, length)
+    assert rep.witness == reference_witness(data, length)
 
 
 @pytest.mark.parametrize("length", [7, 8, 9])
@@ -404,8 +420,8 @@ def test_periodicity_short_inputs(n):
         check_against_brute_force(rng.randbytes(n))
 
 
-# Below 8 octets the witness comes from the sorted windows, not from a
-# hash probe; it must be the pair the probe at the longest repeat gives.
+# Below 8 octets the witness comes from the sorted windows; it must be
+# the pair the definition gives at the longest repeat.
 # Lengths are capped near size**3 so that small alphabets mostly give
 # repeats shorter than 8, and start past size so that some octet repeats.
 @settings(max_examples=300, deadline=None)
@@ -413,17 +429,26 @@ def test_periodicity_short_inputs(n):
            lambda size: st.binary(min_size=size + 1,
                                   max_size=max(size + 1, min(400, 2 * size ** 3))).map(
                lambda raw: bytes(octet % size for octet in raw))))
-def test_periodicity_short_witness_is_the_probe_witness(data):
+def test_periodicity_short_witness_is_the_reference_witness(data):
     rep = periodicity(data)
     assume(0 < rep.longest_repeat < 8)
-    assert rep.witness == probe_witness(data, rep.longest_repeat)
+    assert rep.witness == reference_witness(data, rep.longest_repeat)
 
 
-def string_hash(s):
-    h = 0
-    for octet in s:
-        h = (h * stats._HASH_BASE + octet) % (1 << 64)
-    return h
+# From 8 octets up the witness comes from the final sort of prefix
+# doubling; it must be the pair the definition gives there too.  The
+# inputs are random strings over 2-4 symbols with a block of their own
+# inserted one or more times.
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(2, 4), raw=st.binary(min_size=20, max_size=300),
+       cuts=st.lists(st.integers(0, 300), min_size=3, max_size=3), times=st.integers(1, 6))
+def test_periodicity_long_witness_is_the_reference_witness(size, raw, cuts, times):
+    symbols = bytes(octet % size for octet in raw)
+    a, b, c = sorted(cut % (len(symbols) + 1) for cut in cuts)
+    data = (symbols[:c] + symbols[a:b] * times + symbols[c:])[:400]
+    rep = periodicity(data)
+    assume(rep.longest_repeat >= 8)
+    check_against_reference(data)
 
 
 def test_periodicity_witness_is_least_hash_not_first_copy():
@@ -435,26 +460,45 @@ def test_periodicity_witness_is_least_hash_not_first_copy():
     data = b + filler[:40] + b + filler[40:80] + a + filler[80:120] + a + filler[120:]
     rep = check_against_brute_force(data)
     first = data.find(a)
-    assert rep.witness == (first, data.find(a, first + 1)) == probe_witness(data, 3)
+    assert rep.witness == (first, data.find(a, first + 1)) == reference_witness(data, 3)
+
+
+def thue_morse(n):
+    return bytes(i.bit_count() & 1 for i in range(n))
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("outer_first", [False, True])
+def test_periodicity_hash_tie_goes_to_the_earlier_second_copy(n, outer_first):
+    # A Thue-Morse block and its complement hash alike, and both repeat
+    # in X Y Y X: the witness is Y's pair, whose second copy comes first,
+    # whichever of the two is Y.
+    block = thue_morse(n)
+    complement = bytes(1 - x for x in block)
+    assert string_hash(block) == string_hash(complement)
+    outer, inner = (block, complement) if outer_first else (complement, block)
+    data = outer + b"\x02" + inner + b"\x03" + inner + b"\x04" + outer
+    assert periodicity(data) == PeriodicityReport(None, n, (n + 1, 2 * n + 2))
 
 
 def test_periodicity_keystream_hashes_nothing(monkeypatch):
     def hashed(*args):
-        raise AssertionError("the short-repeat path probed the rolling hash")
+        raise AssertionError("the keystream left the short-repeat path")
     monkeypatch.setattr(stats, "_prefix_arrays", hashed)
-    monkeypatch.setattr(stats, "_find_repeat", hashed)
+    monkeypatch.setattr(stats, "_long_repeat", hashed)
     rng = random.Random(5)
     stream = Separ(rng.randbytes(32)).keystream(rng.randbytes(16), 50_000)
     rep = periodicity(stream)
     assert 0 < rep.longest_repeat < 8
 
 
-def check_against_probes(data):
+def check_against_reference(data):
     """For inputs too long for the brute force: the longest repeat is the
-    longest length the rolling-hash probes find, and the witness theirs."""
+    longest length at which some string repeats, and the witness the
+    reference's."""
     rep = periodicity(data)
-    assert rep.witness == probe_witness(data, rep.longest_repeat)
-    assert probe_witness(data, rep.longest_repeat + 1) is None
+    assert rep.witness == reference_witness(data, rep.longest_repeat)
+    assert reference_witness(data, rep.longest_repeat + 1) is None
     return rep
 
 
@@ -465,7 +509,7 @@ def check_against_probes(data):
 @pytest.mark.parametrize("size", [32, 256])
 def test_periodicity_at_block_lengths_matches_the_probes(n, size):
     raw = np.random.default_rng(n).integers(0, size, n, dtype=np.uint8).tobytes()
-    assert 0 < check_against_probes(raw).longest_repeat < 8
+    assert 0 < check_against_reference(raw).longest_repeat < 8
 
 
 @pytest.mark.parametrize("below", [stats._BLOCK - 2, stats._BLOCK - 1, stats._BLOCK])
@@ -482,24 +526,13 @@ def test_periodicity_short_repeat_across_gap_blocks(below):
     a, c = below // 2, below + below // 3
     data = (bytes(filler[:a]) + copy + bytes(filler[a:c]) + copy + bytes(filler[c:])
             + bytes(rng.randrange(0x81, 0x100) for _ in range(7)))
-    assert check_against_probes(data) == PeriodicityReport(None, 7, (a, c + 7))
+    assert check_against_reference(data) == PeriodicityReport(None, 7, (a, c + 7))
 
 
-def test_periodicity_probes_each_length_once(monkeypatch):
-    # The witness is the successful probe's at the final length, so no
-    # length is hashed twice.
-    probed = []
-    find_repeat = stats._find_repeat
-
-    def counting(data, csum, powers, length):
-        probed.append(length)
-        return find_repeat(data, csum, powers, length)
-    monkeypatch.setattr(stats, "_find_repeat", counting)
-    for length in (8, 9, 40, 200):
-        probed.clear()
-        rep = periodicity(planted(length, 30, 10))
-        assert rep == PeriodicityReport(None, length, (0, length + 30))
-        assert len(probed) == len(set(probed)), probed
+def test_periodicity_thue_morse():
+    # Thue-Morse octets repeat at every scale: the longest repeat is a
+    # quarter of the input, and the report comes from prefix doubling.
+    assert periodicity(thue_morse(1 << 16)) == PeriodicityReport(None, 16384, (0, 24576))
 
 
 # ---------------------------------------------------------------------------
@@ -526,3 +559,14 @@ def test_kernels_work_in_bounded_memory(mib):
     assert traced_peak(entropy, data) < 1 << 20
     assert traced_peak(autocorrelation, data, 1024) < 8 << 20
     assert traced_peak(periodicity, data) < 8 * n + (4 << 20)
+
+
+def test_periodicity_long_path_works_in_bounded_memory():
+    # A planted 300-octet repeat takes the prefix-doubling path: a few
+    # arrays of n ranks, keys and positions at a time.
+    n = 1 << 18
+    arr = np.random.default_rng(18).integers(0, 256, n, dtype=np.uint8)
+    arr[n // 2:n // 2 + 300] = arr[1000:1300]
+    data = arr.tobytes()
+    assert periodicity(data).longest_repeat == 300
+    assert traced_peak(periodicity, data) < 40 * n + (4 << 20)
