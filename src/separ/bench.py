@@ -56,9 +56,10 @@ def run_bench(key: bytes, nonce: bytes, message_bits: int, repetitions: int,
               ) -> tuple[BenchResult, BenchResult]:
     """Benchmark one configuration.
 
-    Returns (init_result, work_result): the setup phase timed on its
-    own, and the steady-state word loop for the requested operation.
-    Message content is derived from the seed, so runs are repeatable.
+    Returns (init_result, work_result): the setup phase (``Separ(key)``
+    and ``initialize``, on each repetition) timed on its own, and the
+    steady-state word loop for the requested operation.  Message content
+    is derived from the seed, so runs are repeatable.
     """
     if message_bits <= 0 or message_bits % 16:
         raise ValueError("message_bits must be a positive multiple of 16")
@@ -68,21 +69,20 @@ def run_bench(key: bytes, nonce: bytes, message_bits: int, repetitions: int,
         raise ValueError(f"unknown operation: {operation!r}")
 
     data = _deterministic_message(message_bits, seed)
-    cipher = Separ(key, lfsr_spec)
     words = _words(data)
     if operation == "decrypt":
+        cipher = Separ(key, lfsr_spec)
         st = cipher.initialize(nonce)
         words = [cipher.encrypt_word(st, w) for w in words]
-        step = cipher.decrypt_word
-    else:
-        step = cipher.encrypt_word
 
     init_times = []
     work_times = []
     for rep in range(warmup + repetitions):
         t0 = time.perf_counter()
+        cipher = Separ(key, lfsr_spec)
         st = cipher.initialize(nonce)
         t1 = time.perf_counter()
+        step = cipher.decrypt_word if operation == "decrypt" else cipher.encrypt_word
         for w in words:
             step(st, w)
         t2 = time.perf_counter()

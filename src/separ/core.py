@@ -251,15 +251,21 @@ _FIELD_SHIFT = 7          # the schedule's 4-bit S-box window sits at bits 7..10
 _FIELD_MASK = 0xF << _FIELD_SHIFT
 
 
+def _key_words(key: bytes) -> array:
+    """The sixteen big-endian words of a 256-bit key: segment n's k1 and
+    k2 are words 2n - 2 and 2n - 1."""
+    if len(key) != KEY_BYTES:
+        raise ValueError(f"master key must be {KEY_BYTES} octets, got {len(key)}")
+    return _words(key)
+
+
 def split_master_key(key: bytes) -> list[SegmentKey]:
     """Split a 256-bit key into eight 32-bit segments, big-endian.
 
     Segment 1 is the most significant 32 bits; within a segment k1 is
     the high 16 bits.
     """
-    if len(key) != KEY_BYTES:
-        raise ValueError(f"master key must be {KEY_BYTES} octets, got {len(key)}")
-    w = _words(key)
+    w = _key_words(key)
     return [SegmentKey(i + 1, w[2 * i], w[2 * i + 1]) for i in range(NUM_BLOCKS)]
 
 
@@ -269,14 +275,18 @@ def _sbox_window(w: int) -> int:
     return (w & ~_FIELD_MASK & MASK16) | (SBOXES[0][field] << _FIELD_SHIFT)
 
 
+def _stage_keys(k1: int, k2: int, n: int) -> tuple[int, int, int, int, int, int]:
+    """The schedule formula: stage n's subkeys sk1..sk6 from its segment."""
+    sk3 = _sbox_window(rotl(k1, 6)) ^ (n + 2)
+    sk4 = _sbox_window(rotl(k2, 10)) ^ (n + 3)
+    return k1, k2, sk3, sk4, k1 ^ k2, sk3 ^ sk4
+
+
 def derive_subkeys(seg: SegmentKey, n: int) -> SubkeySet:
     """Expand one segment key into the six subkeys for stage n."""
     if not 1 <= n <= NUM_BLOCKS:
         raise ValueError(f"stage index out of range: {n}")
-    sk1, sk2 = seg.k1, seg.k2
-    sk3 = _sbox_window(rotl(sk1, 6)) ^ (n + 2)
-    sk4 = _sbox_window(rotl(sk2, 10)) ^ (n + 3)
-    return SubkeySet.from_halves(n, sk1, sk2, sk3, sk4)
+    return SubkeySet(n, *_stage_keys(seg.k1, seg.k2, n))
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +311,14 @@ def dec_block(c: int, sk: SubkeySet) -> int:
 
 
 class _Stage:
-    """enc_block under one stage's subkeys, indexed like that stage's
-    per-key table, so that the word loops serve both."""
+    """enc_block under one stage's subkeys (sk1..sk6, as from
+    :func:`_stage_keys`), indexed like that stage's per-key table, so
+    that the word loops serve both."""
 
     __slots__ = ("keys",)
 
-    def __init__(self, sk: SubkeySet) -> None:
-        self.keys = (sk.sk1, sk.sk2, sk.sk3, sk.sk4, sk.sk5, sk.sk6)
+    def __init__(self, keys: tuple[int, int, int, int, int, int]) -> None:
+        self.keys = keys
 
     def __getitem__(self, m: int) -> int:
         k1, k2, k3, k4, k5, k6 = self.keys
@@ -415,7 +426,7 @@ class CipherState:
 
 
 def _parse_nonce(nonce: bytes | Sequence[int]) -> list[int]:
-    if isinstance(nonce, (bytes, bytearray)):
+    if isinstance(nonce, (bytes, bytearray, memoryview)):
         if len(nonce) != NONCE_BYTES:
             raise ValueError(f"nonce must be {NONCE_BYTES} octets, got {len(nonce)}")
         return _words(nonce).tolist()
@@ -439,14 +450,28 @@ class Separ:
     """
 
     def __init__(self, key: bytes, lfsr_spec: LfsrSpec = DEFAULT_LFSR) -> None:
-        self.segments = split_master_key(key)
-        self.subkeys = tuple(derive_subkeys(seg, seg.index) for seg in self.segments)
+        w = _key_words(key)
+        # Only the stage objects' six ints feed the word loops and
+        # initialize; the validated views below are built on first use.
+        keys = [_stage_keys(w[2 * i], w[2 * i + 1], i + 1) for i in range(NUM_BLOCKS)]
         self.lfsr_spec = lfsr_spec
         self._lfsr_table = _lfsr_next(lfsr_spec.taps)
-        self._stages = tuple(map(_Stage, self.subkeys))
-        self._inverse_stages = tuple(map(_InverseStage, self.subkeys))
+        self._stages = tuple(map(_Stage, keys))
+        self._inverse_stages = tuple(map(_InverseStage, keys))
         self._enc_tables: list[array] | None = None
         self._dec_tables: list[array] | None = None
+
+    @functools.cached_property
+    def segments(self) -> list[SegmentKey]:
+        """The master key's eight segments, as :func:`split_master_key`
+        gives them: each stage's sk1 and sk2 are its segment's k1 and k2."""
+        return [SegmentKey(n, st.keys[0], st.keys[1]) for n, st in enumerate(self._stages, 1)]
+
+    @functools.cached_property
+    def subkeys(self) -> tuple[SubkeySet, ...]:
+        """Each stage's subkeys as a validated :class:`SubkeySet`, stage 1
+        first."""
+        return tuple(SubkeySet(n, *st.keys) for n, st in enumerate(self._stages, 1))
 
     # -- initialization ------------------------------------------------
 
@@ -458,17 +483,17 @@ class Separ:
         0x0100 forced on, so the LFSR never starts at zero.
         """
         s = _parse_nonce(nonce)
-        sk = self.subkeys
+        t1, t2, t3, t4, t5, t6, t7, t8 = self._stages
         out = 0
         for _ in range(INIT_ROUNDS):
-            v12 = enc_block(s[0] ^ s[2] ^ s[4] ^ s[6], sk[0])
-            v23 = enc_block(v12 ^ s[1], sk[1])
-            v34 = enc_block(v23 ^ s[2], sk[2])
-            v45 = enc_block(v34 ^ s[3], sk[3])
-            v56 = enc_block(v45 ^ s[4], sk[4])
-            v67 = enc_block(v56 ^ s[5], sk[5])
-            v78 = enc_block(v67 ^ s[6], sk[6])
-            out = enc_block(v78 ^ s[7], sk[7])
+            v12 = t1[s[0] ^ s[2] ^ s[4] ^ s[6]]
+            v23 = t2[v12 ^ s[1]]
+            v34 = t3[v23 ^ s[2]]
+            v45 = t4[v34 ^ s[3]]
+            v56 = t5[v45 ^ s[4]]
+            v67 = t6[v56 ^ s[5]]
+            v78 = t7[v67 ^ s[6]]
+            out = t8[v78 ^ s[7]]
             s = [s[0] ^ out, s[1] ^ v12, s[2] ^ v23, s[3] ^ v34,
                  s[4] ^ v45, s[5] ^ v56, s[6] ^ v67, s[7] ^ v78]
         return CipherState(states=s, lfsr=out | LFSR_FORCE_BIT, t=0)

@@ -1,7 +1,10 @@
 """Benchmark harness: throughput arithmetic and measurement discipline."""
 
+import time
+
 import pytest
 
+from separ import bench
 from separ.bench import BenchResult, compute_throughput, results_csv, run_bench
 from separ.core import Separ
 
@@ -46,6 +49,19 @@ def test_run_bench_reports_init_separately():
     assert init.operation == "init"
     assert init.message_bits == work.message_bits == 128
     assert init.median_time > 0
+
+
+@pytest.mark.parametrize("operation", ["encrypt", "decrypt"])
+def test_init_row_times_the_key_schedule(monkeypatch, operation):
+    """The init row times Separ(key) as well as initialize, on every
+    repetition."""
+    def slow_separ(*args):
+        time.sleep(1e-3)
+        return Separ(*args)
+
+    monkeypatch.setattr(bench, "Separ", slow_separ)
+    init, _ = run_bench(KEY, IV, 64, repetitions=3, warmup=0, operation=operation)
+    assert init.median_time >= 1e-3
 
 
 def test_run_bench_decrypt_path():

@@ -81,6 +81,17 @@ def test_bad_key_length_exit_code(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("octets", [0, 31, 33])
+def test_wrong_key_length_exit_code(tmp_path, octets):
+    src = tmp_path / "x"
+    src.write_bytes(b"\x00\x00")
+    out = tmp_path / "y"
+    code = run(["encrypt", "--key", "AB" * octets, "--iv", IV_HEX,
+                "--format", "bin", "--in", str(src), "--out", str(out)])
+    assert code == EXIT_BAD_LENGTH
+    assert not out.exists()
+
+
 def test_odd_length_exit_code(tmp_path, capsys):
     src = tmp_path / "x"
     src.write_bytes(b"\x00\x00\x00")

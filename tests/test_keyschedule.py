@@ -1,8 +1,11 @@
 """Master key splitting and subkey derivation."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hs
 
-from separ.core import SegmentKey, SubkeySet, derive_subkeys, split_master_key
+from reference_oracle import ref_schedule
+from separ.core import SegmentKey, Separ, SubkeySet, derive_subkeys, split_master_key
 
 
 def test_split_zero_key():
@@ -67,3 +70,22 @@ def test_stage_number_changes_subkeys():
     seg = SegmentKey(1, 0x1234, 0x5678)
     sets = [derive_subkeys(seg, n) for n in range(1, 9)]
     assert len({(s.sk3, s.sk4) for s in sets}) == 8
+
+
+@given(key=hs.binary(min_size=32, max_size=32))
+@example(key=bytes(32))
+@example(key=b"\xff" * 32)
+def test_cipher_schedule_matches_reference(key):
+    """The stage keys the word loops read, and the lazily built public
+    views, equal the oracle's schedule and the module functions."""
+    cipher = Separ(key)
+    assert [list(stage.keys) for stage in cipher._stages] == ref_schedule(key)
+    assert [list(stage.keys) for stage in cipher._inverse_stages] == ref_schedule(key)
+    assert cipher.subkeys == tuple(derive_subkeys(s, s.index) for s in split_master_key(key))
+    assert cipher.segments == split_master_key(key)
+
+
+@pytest.mark.parametrize("length", [0, 31, 33])
+def test_cipher_rejects_wrong_key_length(length):
+    with pytest.raises(ValueError, match=f"master key must be 32 octets, got {length}"):
+        Separ(bytes(length))

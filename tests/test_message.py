@@ -116,6 +116,14 @@ def test_word_steps_tables_and_oracle_agree(key, nonce, words):
     assert tabled.decrypt(nonce, ct) == _octets(words)
 
 
+def test_memoryview_nonce_is_bytes_like(rng):
+    key, nonce, data = rng.randbytes(32), rng.randbytes(16), rng.randbytes(24)
+    cipher = Separ(key)
+    assert cipher.encrypt(memoryview(nonce), data) == cipher.encrypt(nonce, data)
+    with pytest.raises(ValueError, match="nonce must be 16 octets, got 15"):
+        cipher.encrypt(memoryview(nonce[:15]), data)
+
+
 def test_matches_reference_bytes(rng):
     key = rng.randbytes(32)
     nonce = rng.randbytes(16)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from reference_oracle import ref_encrypt_words, ref_initialize
+from separ import core
 from separ.core import (
     LFSR_FORCE_BIT,
     CipherState,
@@ -34,6 +35,30 @@ def test_initialize_matches_reference_random(rng):
         ref_states, ref_lfsr = ref_initialize(key, nonce)
         st = Separ(key).initialize(nonce)
         assert st.states == ref_states and st.lfsr == ref_lfsr
+
+
+@settings(deadline=None)
+@given(key=hs.binary(min_size=32, max_size=32), nonce=hs.binary(min_size=16, max_size=16))
+def test_initialize_matches_reference(key, nonce):
+    st = Separ(key).initialize(nonce)
+    assert (st.states, st.lfsr, st.t) == (*ref_initialize(key, nonce), 0)
+
+
+def test_setup_and_short_message_build_no_schedule_objects(monkeypatch):
+    """Construction and a short message read only the stage objects: no
+    SegmentKey or SubkeySet is built unless a caller asks for one."""
+    def built(*args, **kwargs):
+        raise AssertionError("a schedule object was built")
+
+    monkeypatch.setattr(core.SegmentKey, "__new__", built)
+    monkeypatch.setattr(core.SubkeySet, "__init__", built)
+    cipher = Separ(bytes(range(32)))
+    ct = cipher.encrypt(bytes(16), bytes(24))
+    assert cipher.decrypt(bytes(16), ct) == bytes(24)
+    with pytest.raises(AssertionError):
+        cipher.subkeys
+    with pytest.raises(AssertionError):
+        core.SubkeySet.from_halves(1, 0, 0, 0, 0)
 
 
 def test_initialize_deterministic(rng):

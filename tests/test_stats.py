@@ -328,10 +328,10 @@ def test_periodicity_keystream_report_is_pinned():
 
 @pytest.mark.parametrize("n", [1024, 2048])
 def test_periodicity_repeat_split_by_a_hash_collision(n):
-    # From 1024 octets on, the rolling hash of a Thue-Morse block equals
-    # its complement's, so in A + B + A the two copies of A are not
-    # neighbours in hash order: every window of a run of equal hashes
-    # must be checked, not only neighbouring ones.
+    # From 1024 octets on, a Thue-Morse block A and its complement B hash
+    # alike (string_hash below), and a search that compared only
+    # neighbours in hash order missed A's repeat in A + B + A.  Kept as a
+    # regression input: the repeat is found, with both copies of A.
     block = bytes(i.bit_count() & 1 for i in range(n))
     data = block + bytes(1 - x for x in block) + block
     report = periodicity(data)
@@ -507,7 +507,7 @@ def check_against_reference(data):
 @pytest.mark.parametrize("n", [stats._BLOCK + 6, stats._BLOCK + 7, stats._BLOCK + 8,
                                3 * stats._BLOCK + 100])
 @pytest.mark.parametrize("size", [32, 256])
-def test_periodicity_at_block_lengths_matches_the_probes(n, size):
+def test_periodicity_at_block_lengths_matches_the_reference_witness(n, size):
     raw = np.random.default_rng(n).integers(0, size, n, dtype=np.uint8).tobytes()
     assert 0 < check_against_reference(raw).longest_repeat < 8
 
