@@ -4,6 +4,8 @@ internal state) with a cryptanalysis workbench and benchmark harness."""
 from .core import (
     CipherState,
     DEFAULT_LFSR,
+    Decryptor,
+    Encryptor,
     LfsrSpec,
     OddLengthError,
     SBOXES,
@@ -37,8 +39,8 @@ from . import analysis
 __version__ = "0.1.0"
 
 __all__ = [
-    "CipherState", "DEFAULT_LFSR", "LfsrSpec", "OddLengthError", "SBOXES",
-    "SegmentKey", "Separ", "SubkeySet", "ZERO_SUBKEYS",
+    "CipherState", "DEFAULT_LFSR", "Decryptor", "Encryptor", "LfsrSpec",
+    "OddLengthError", "SBOXES", "SegmentKey", "Separ", "SubkeySet", "ZERO_SUBKEYS",
     "dec_block", "decrypt_message", "derive_subkeys", "enc_block",
     "enc_block_table", "encrypt_message", "inv_linear_diffusion",
     "inv_nibble_mix", "inv_sbox_layer", "lfsr_clock", "linear_diffusion",

@@ -17,18 +17,30 @@ must generate a maximal-length sequence.
 Keystream export writes raw octets in "bin" format, most significant
 bit of each octet first, which is the layout the external statistical
 test suite ingests.
+
+encrypt, decrypt and keystream run in memory that does not grow with
+the data: "bin" input is read, and each piece's output written, _CHUNK
+octets at a time.  A "hex" input, the vector format, is parsed whole.
+A --out file is written under a temporary name beside it and moved into
+place only on success, so a failing command leaves it absent or as it
+was.  Standard output gets each piece as it is produced: an odd-length
+"bin" input without --pad-zero has had its even prefix written there
+when the command exits 6.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
+import stat
 import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import BinaryIO, Callable, Iterator
 
 from . import analysis, bench
 from .core import (
@@ -50,6 +62,11 @@ EXIT_ODD_LENGTH = 6
 
 DEFAULT_KEY = "00" * KEY_BYTES
 DEFAULT_IV = "00" * NONCE_BYTES
+
+# Octets of "bin" input per read, and of keystream per write: 32768 words,
+# above Separ._BULK_THRESHOLD, so that a file runs on the engine its whole
+# length would pick.
+_CHUNK = 1 << 16
 
 
 class HexFormatError(ValueError):
@@ -90,13 +107,13 @@ def _lfsr_from_env() -> LfsrSpec:
 # data I/O
 # ---------------------------------------------------------------------------
 
-def _read_input(path: str, fmt: str) -> bytes:
-    if path == "-":
-        raw = sys.stdin.buffer.read()
-    else:
-        raw = Path(path).read_bytes()
-    if fmt == "bin":
-        return raw
+def _input(path: str) -> contextlib.AbstractContextManager[BinaryIO]:
+    return contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
+
+
+def _read_hex(path: str) -> bytes:
+    with _input(path) as src:
+        raw = src.read()
     try:
         text = raw.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -105,20 +122,35 @@ def _read_input(path: str, fmt: str) -> bytes:
     return parse_hex("".join(lines), what="input data")
 
 
-def _write_output(path: str, data: bytes, fmt: str, header: str | None = None) -> None:
-    if fmt == "bin":
-        payload = data
-    else:
-        text = ""
-        if header:
-            text += f"# {header}\n"
-        text += data.hex().upper() + "\n"
-        payload = text.encode("ascii")
+@contextlib.contextmanager
+def _output(path: str) -> Iterator[BinaryIO]:
+    """The binary sink for --out.  A regular file, or a path where none
+    exists yet, is written under a temporary name in the same directory
+    and moved over `path` only if the block completes; anything else
+    (stdout, a device, a pipe, a symlink) is written in place."""
     if path == "-":
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-    else:
-        Path(path).write_bytes(payload)
+        try:
+            yield sys.stdout.buffer
+        finally:
+            sys.stdout.buffer.flush()
+        return
+    target = Path(path)
+    try:
+        in_place = not stat.S_ISREG(target.lstat().st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with target.open("wb") as sink:
+            yield sink
+        return
+    part = target.with_name(f".{target.name}.{os.urandom(4).hex()}.part")
+    try:
+        with part.open("xb") as sink:
+            yield sink
+        os.replace(part, target)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def _write_text(path: str, text: str) -> None:
@@ -132,27 +164,52 @@ def _write_text(path: str, text: str) -> None:
 # cipher commands
 # ---------------------------------------------------------------------------
 
+def _pipe(args: argparse.Namespace, update: Callable[[bytes], bytes],
+          finalize: Callable[[], bytes]) -> int:
+    """Run --in through a cipher stream into --out.  "bin" input goes in
+    _CHUNK-octet pieces, each piece's output written as soon as it is
+    produced; "hex" input is one piece, so its padding header can come
+    first."""
+    if args.format == "hex":
+        data = _read_hex(args.infile)
+        out = update(data) + finalize()
+        # only a zero-padded encryption completes on an odd input
+        header = "# zero-padded: 1 octet appended\n" if len(data) % 2 else ""
+        with _output(args.outfile) as sink:
+            sink.write(f"{header}{out.hex().upper()}\n".encode("ascii"))
+    else:
+        with _input(args.infile) as src, _output(args.outfile) as sink:
+            for piece in iter(lambda: src.read(_CHUNK), b""):
+                sink.write(update(piece))
+            sink.write(finalize())
+    return EXIT_OK
+
+
 def cmd_encrypt(args: argparse.Namespace) -> int:
     key, iv = _key_iv(args)
-    data = _read_input(args.infile, args.format)
-    ct = Separ(key, _lfsr_from_env()).encrypt(iv, data, pad_zero=args.pad_zero)
-    header = "zero-padded: 1 octet appended" if len(data) % 2 else None
-    _write_output(args.outfile, ct, args.format, header)
-    return EXIT_OK
+    stream = Separ(key, _lfsr_from_env()).encryptor(iv)
+    return _pipe(args, stream.update, lambda: stream.finalize(args.pad_zero))
 
 
 def cmd_decrypt(args: argparse.Namespace) -> int:
     key, iv = _key_iv(args)
-    data = _read_input(args.infile, args.format)
-    pt = Separ(key, _lfsr_from_env()).decrypt(iv, data)
-    _write_output(args.outfile, pt, args.format)
-    return EXIT_OK
+    stream = Separ(key, _lfsr_from_env()).decryptor(iv)
+    return _pipe(args, stream.update, stream.finalize)
 
 
 def cmd_keystream(args: argparse.Namespace) -> int:
+    """Encrypted zero words, _CHUNK octets at a time."""
     key, iv = _key_iv(args)
-    ks = Separ(key, _lfsr_from_env()).keystream(iv, args.words)
-    _write_output(args.outfile, ks, args.format)
+    if args.words < 0:
+        raise ValueError(f"--words must be non-negative, got {args.words}")
+    stream = Separ(key, _lfsr_from_env()).encryptor(iv)
+    zeros = memoryview(bytes(_CHUNK))
+    with _output(args.outfile) as sink:
+        for start in range(0, 2 * args.words, _CHUNK):
+            ks = stream.update(zeros[:2 * args.words - start])
+            sink.write(ks if args.format == "bin" else ks.hex().upper().encode("ascii"))
+        if args.format == "hex":
+            sink.write(b"\n")
     return EXIT_OK
 
 

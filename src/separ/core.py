@@ -54,6 +54,11 @@ class OddLengthError(ValueError):
     """Message length is not a whole number of 16-bit words."""
 
 
+_ODD_PLAINTEXT = ("message length must be a multiple of 2 octets; zero-pad it "
+                  "with pad_zero=True (separ encrypt --pad-zero)")
+_ODD_CIPHERTEXT = "ciphertext length must be a multiple of 2 octets"
+
+
 # ---------------------------------------------------------------------------
 # word primitives
 # ---------------------------------------------------------------------------
@@ -183,6 +188,13 @@ S_NP, R_NP, S_INV_NP, R_INV_NP = (np.frombuffer(t, dtype=np.uint16)
 # byte framing
 # ---------------------------------------------------------------------------
 
+def _octet_view(data) -> bytes | memoryview:
+    """Any bytes-like object as its octets, so that its length counts
+    octets whatever its item format or shape: bytes as they are (the
+    common case, and the cheaper), anything else as a flat view."""
+    return data if isinstance(data, bytes) else memoryview(data).cast("B")
+
+
 def _words(data: bytes) -> array:
     """The big-endian 16-bit words of an even-length byte string."""
     words = array("H")
@@ -190,6 +202,16 @@ def _words(data: bytes) -> array:
     if sys.byteorder == "little":
         words.byteswap()
     return words
+
+
+def _whole_words(data, pad_zero: bool, odd_length: str):
+    """The octets of `data` as whole words: an odd trailing octet is
+    zero-padded if pad_zero, else OddLengthError(odd_length) is raised."""
+    if len(data) % 2:
+        if not pad_zero:
+            raise OddLengthError(odd_length)
+        return bytes(data) + b"\x00"
+    return data
 
 
 def _octets(words: Iterable[int]) -> bytes:
@@ -254,6 +276,7 @@ _FIELD_MASK = 0xF << _FIELD_SHIFT
 def _key_words(key: bytes) -> array:
     """The sixteen big-endian words of a 256-bit key: segment n's k1 and
     k2 are words 2n - 2 and 2n - 1."""
+    key = _octet_view(key)
     if len(key) != KEY_BYTES:
         raise ValueError(f"master key must be {KEY_BYTES} octets, got {len(key)}")
     return _words(key)
@@ -427,6 +450,7 @@ class CipherState:
 
 def _parse_nonce(nonce: bytes | Sequence[int]) -> list[int]:
     if isinstance(nonce, (bytes, bytearray, memoryview)):
+        nonce = _octet_view(nonce)
         if len(nonce) != NONCE_BYTES:
             raise ValueError(f"nonce must be {NONCE_BYTES} octets, got {len(nonce)}")
         return _words(nonce).tolist()
@@ -639,42 +663,112 @@ class Separ:
     # the tables (16.9 and 16.6 ms against 25.1 and 24.8 ms).
     _BULK_THRESHOLD = 2048
 
+    def encryptor(self, nonce: bytes | Sequence[int]) -> "Encryptor":
+        """A resumable encryption of one message: its octets go in through
+        :meth:`Encryptor.update` in pieces of any size, and
+        :meth:`Encryptor.finalize` ends it."""
+        return Encryptor(self, nonce)
+
+    def decryptor(self, nonce: bytes | Sequence[int]) -> "Decryptor":
+        """A resumable decryption of one message, the inverse of
+        :meth:`encryptor`."""
+        return Decryptor(self, nonce)
+
     def encrypt(self, nonce: bytes | Sequence[int], data: bytes,
                 pad_zero: bool = False) -> bytes:
         """Encrypt a byte string.  Length must be even unless pad_zero."""
-        if len(data) % 2:
-            if not pad_zero:
-                raise OddLengthError(
-                    "message length must be a multiple of 2 octets; zero-pad "
-                    "it with pad_zero=True (separ encrypt --pad-zero)")
-            data = data + b"\x00"
-        return self._message(nonce, _words(data), len(data) // 2)
+        data = _whole_words(_octet_view(data), pad_zero, _ODD_PLAINTEXT)
+        return self._message(self.initialize(nonce), _words(data), len(data) // 2)
 
     def decrypt(self, nonce: bytes | Sequence[int], data: bytes) -> bytes:
         """Decrypt a byte string produced by :meth:`encrypt`."""
-        if len(data) % 2:
-            raise OddLengthError("ciphertext length must be a multiple of 2 octets")
-        return self._message(nonce, _words(data), len(data) // 2, inverse=True)
+        data = _whole_words(_octet_view(data), False, _ODD_CIPHERTEXT)
+        return self._message(self.initialize(nonce), _words(data), len(data) // 2,
+                             inverse=True)
 
     def keystream(self, nonce: bytes | Sequence[int], nwords: int) -> bytes:
         """Ciphertext of nwords zero words: the statistical sample source."""
         if nwords < 0:
             raise ValueError(f"keystream length must be non-negative, got {nwords}")
-        return self._message(nonce, itertools.repeat(0, nwords), nwords)
+        return self._message(self.initialize(nonce), itertools.repeat(0, nwords), nwords)
 
-    def _message(self, nonce: bytes | Sequence[int], words: Iterable[int],
-                 nwords: int, inverse: bool = False) -> bytes:
-        """The one message path: the word loop on the key's tables from the
-        threshold up or once they are built, else one word step at a time."""
-        st = self.initialize(nonce)
+    def _message(self, st: CipherState, words: Iterable[int], nwords: int,
+                 inverse: bool = False) -> bytes:
+        """The one message path, continuing from `st`: the word loop on the
+        key's tables from the threshold up or once they are built, else one
+        word step at a time."""
         built = self._dec_tables if inverse else self._enc_tables
         if nwords >= self._BULK_THRESHOLD or built is not None:
             loop = self._decrypt_words if inverse else self._encrypt_words
             out = loop(st, words, self._tables(inverse))
-        else:
-            step = self.decrypt_word if inverse else self.encrypt_word
-            out = [step(st, w) for w in words]
-        return _octets(out)
+            if sys.byteorder == "little":
+                out.byteswap()
+            return out.tobytes()
+        step = self.decrypt_word if inverse else self.encrypt_word
+        return _octets([step(st, w) for w in words])
+
+
+class _Stream:
+    """One message in progress over one :class:`CipherState`.  Each
+    :meth:`update` runs the whole words among the octets given so far, on
+    the engine :meth:`Separ._message` picks for that call's word count,
+    and carries an odd trailing octet into the next call."""
+
+    _inverse: bool
+    _odd_length: str   # the OddLengthError text of an odd message
+
+    def __init__(self, cipher: Separ, nonce: bytes | Sequence[int]) -> None:
+        self._cipher = cipher
+        self._state: CipherState | None = cipher.initialize(nonce)
+        self._carry = b""
+
+    def update(self, data: bytes) -> bytes:
+        """The output of every word the octets given so far complete."""
+        if self._state is None:
+            raise ValueError("the stream is finalized")
+        data = _octet_view(data)
+        if self._carry:
+            data = self._carry + data
+        even = len(data) & ~1
+        self._carry = bytes(data[even:])
+        return self._run(data[:even])
+
+    def _run(self, data) -> bytes:
+        return self._cipher._message(self._state, _words(data), len(data) // 2,
+                                     self._inverse)
+
+    def _finish(self, pad_zero: bool) -> bytes:
+        """End the stream as a one-shot call ends its message; if that
+        raises OddLengthError, the stream stays open."""
+        if self._state is None:
+            raise ValueError("the stream is finalized")
+        tail = self._run(_whole_words(self._carry, pad_zero, self._odd_length))
+        self._state = None
+        return tail
+
+
+class Encryptor(_Stream):
+    """A resumable encryption, from :meth:`Separ.encryptor`."""
+
+    _inverse = False
+    _odd_length = _ODD_PLAINTEXT
+
+    def finalize(self, pad_zero: bool = False) -> bytes:
+        """The last word's output if an odd octet is left and pad_zero,
+        else b"".  Any call after a successful finalize raises ValueError."""
+        return self._finish(pad_zero)
+
+
+class Decryptor(_Stream):
+    """A resumable decryption, from :meth:`Separ.decryptor`."""
+
+    _inverse = True
+    _odd_length = _ODD_CIPHERTEXT
+
+    def finalize(self) -> bytes:
+        """b"", or OddLengthError if an odd octet is left.  Any call after
+        a successful finalize raises ValueError."""
+        return self._finish(pad_zero=False)
 
 
 def enc_block_table(sk: SubkeySet) -> np.ndarray:

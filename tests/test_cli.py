@@ -1,15 +1,22 @@
 """Command-line surface: thin-shell equivalence, exit codes, formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import separ
 from separ.cli import (
     EXIT_BAD_HEX,
     EXIT_BAD_LENGTH,
+    EXIT_IO,
     EXIT_ODD_LENGTH,
     EXIT_OK,
     EXIT_USAGE,
+    _CHUNK,
     default_vector_dir,
     main,
     parse_vector_file,
@@ -343,3 +350,144 @@ def test_lfsr_env_override_rejects_weak_mask(tmp_path, monkeypatch):
     code = run(["encrypt", "--key", KEY_HEX, "--iv", IV_HEX, "--format", "bin",
                 "--in", str(src), "--out", str(tmp_path / "o")])
     assert code != EXIT_OK
+
+
+def _listing(directory):
+    return sorted(str(p.relative_to(directory)) for p in directory.rglob("*"))
+
+
+# (command, --format, what --in holds, --out under tmp_path, SEPAR_LFSR_TAPS, exit code)
+IO_FAILURES = {
+    "missing-input": ("encrypt", "bin", None, "out.bin", None, EXIT_IO),
+    "directory-input": ("encrypt", "bin", "dir", "out.bin", None, EXIT_IO),
+    "missing-output-directory": ("encrypt", "bin", b"\x00\x01", "absent/out.bin", None, EXIT_IO),
+    "weak-lfsr-taps": ("encrypt", "bin", b"\x00\x01", "out.bin", "0001", EXIT_USAGE),
+    "non-hex-lfsr-taps": ("encrypt", "bin", b"\x00\x01", "out.bin", "zz", EXIT_BAD_HEX),
+    "truncated-hex": ("decrypt", "hex", b"DEADBEE\n", "out.hex", None, EXIT_BAD_HEX),
+    # odd after three whole pieces, so output was written before the error
+    "odd-plaintext": ("encrypt", "bin", bytes(3 * _CHUNK + 1), "out.bin", None, EXIT_ODD_LENGTH),
+    "odd-ciphertext": ("decrypt", "bin", bytes(3 * _CHUNK + 1), "out.bin", None, EXIT_ODD_LENGTH),
+}
+
+
+@pytest.mark.parametrize("case", IO_FAILURES.values(), ids=IO_FAILURES.keys())
+def test_io_failures_leave_no_output(tmp_path, monkeypatch, capsys, case):
+    command, fmt, content, out, taps, expected = case
+    src = tmp_path / "in"
+    if content == "dir":
+        src.mkdir()
+    elif content is not None:
+        src.write_bytes(content)
+    if taps is not None:
+        monkeypatch.setenv("SEPAR_LFSR_TAPS", taps)
+    before = _listing(tmp_path)
+    code = run([command, "--key", KEY_HEX, "--iv", IV_HEX, "--format", fmt,
+                "--in", str(src), "--out", str(tmp_path / out)])
+    assert code == expected
+    assert capsys.readouterr().err.startswith("error: ")
+    assert _listing(tmp_path) == before
+
+
+def test_failure_leaves_an_existing_output_untouched(tmp_path):
+    src = tmp_path / "in"
+    src.write_bytes(bytes(_CHUNK + 1))
+    out = tmp_path / "out"
+    out.write_bytes(b"previous")
+    assert run(["encrypt", "--key", KEY_HEX, "--iv", IV_HEX,
+                "--in", str(src), "--out", str(out)]) == EXIT_ODD_LENGTH
+    assert out.read_bytes() == b"previous"
+    assert _listing(tmp_path) == ["in", "out"]
+
+
+def test_encrypt_in_place(tmp_path, rng):
+    data = rng.randbytes(2 * _CHUNK + 6)
+    f = tmp_path / "f"
+    f.write_bytes(data)
+    assert run(["encrypt", "--key", KEY_HEX, "--iv", IV_HEX,
+                "--in", str(f), "--out", str(f)]) == EXIT_OK
+    assert f.read_bytes() == Separ(KEY).encrypt(IV, data)
+    assert _listing(tmp_path) == ["f"]
+
+
+def test_out_symlink_is_written_through(tmp_path):
+    src = tmp_path / "in"
+    src.write_bytes(b"ABCD")
+    target = tmp_path / "target"
+    target.write_bytes(b"previous")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert run(["encrypt", "--key", KEY_HEX, "--iv", IV_HEX,
+                "--in", str(src), "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    assert target.read_bytes() == Separ(KEY).encrypt(IV, b"ABCD")
+
+
+def test_odd_input_to_stdout_leaves_the_even_prefix(tmp_path, capsysbinary):
+    data = bytes(range(256)) * 2 + b"\x07"
+    src = tmp_path / "in"
+    src.write_bytes(data)
+    code = run(["encrypt", "--key", KEY_HEX, "--iv", IV_HEX, "--in", str(src)])
+    assert code == EXIT_ODD_LENGTH
+    assert capsysbinary.readouterr().out == Separ(KEY).encrypt(IV, data[:-1])
+
+
+@pytest.mark.parametrize("words", [0, 1, _CHUNK // 2 + 3])
+def test_keystream_pieces_join_to_the_keystream(tmp_path, words):
+    binary, text = tmp_path / "ks.bin", tmp_path / "ks.hex"
+    for path, fmt in ((binary, "bin"), (text, "hex")):
+        assert run(["keystream", "--key", KEY_HEX, "--iv", IV_HEX, "--words", str(words),
+                    "--format", fmt, "--out", str(path)]) == EXIT_OK
+    expected = Separ(KEY).keystream(IV, words)
+    assert binary.read_bytes() == expected
+    assert text.read_text() == expected.hex().upper() + "\n"
+
+
+def test_cli_streams_in_chunks(tmp_path, monkeypatch, rng):
+    """encrypt and decrypt never hand the word loops more than one piece
+    of input, and every word goes through them."""
+    sizes = []
+    for name in ("_encrypt_words", "_decrypt_words"):
+        def spy(self, st, words, stages, loop=getattr(Separ, name)):
+            sizes.append(len(words))
+            return loop(self, st, words, stages)
+        monkeypatch.setattr(Separ, name, spy)
+    data = rng.randbytes(3 * _CHUNK + 1)
+    src, enc, dec = tmp_path / "pt", tmp_path / "ct", tmp_path / "rt"
+    src.write_bytes(data)
+    common = ["--key", KEY_HEX, "--iv", IV_HEX]
+    assert run(["encrypt", *common, "--pad-zero", "--in", str(src), "--out", str(enc)]) == EXIT_OK
+    assert run(["decrypt", *common, "--in", str(enc), "--out", str(dec)]) == EXIT_OK
+    assert dec.read_bytes() == data + b"\x00"
+    assert max(sizes) <= _CHUNK // 2
+    assert sum(sizes) == 2 * (len(data) + 1) // 2
+
+
+# The child reads its peak RSS as VmHWM: ru_maxrss would start from the
+# forking test process's own peak, which exec carries over on Linux.
+RSS_PROBE = """
+import re, sys
+from separ import cli
+def peak_kib():
+    with open("/proc/self/status") as f:
+        return int(re.search(r"VmHWM:\\s+(\\d+) kB", f.read()).group(1))
+before = peak_kib()
+code = cli.main(["encrypt", "--in", sys.argv[1], "--out", sys.argv[2]])
+print(code, peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_encrypt_peak_memory_does_not_grow_with_the_file(tmp_path, rng):
+    """A child process encrypts a 2 MiB file.  Its peak RSS may grow by
+    the key's 1 MiB of tables and a few pieces, not with the file: whole
+    in memory, the file and its copies came to about 11 MiB."""
+    data = rng.randbytes(2 << 20)
+    src, out = tmp_path / "pt", tmp_path / "ct"
+    src.write_bytes(data)
+    env = {**os.environ, "PYTHONPATH": str(Path(separ.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", RSS_PROBE, str(src), str(out)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    code, grown_kib = map(int, proc.stdout.split())
+    assert code == EXIT_OK
+    assert out.read_bytes()[:4096] == Separ(bytes(32)).encrypt(bytes(16), data[:4096])
+    assert grown_kib < 3 * 1024
