@@ -21,11 +21,12 @@ test suite ingests.
 encrypt, decrypt and keystream run in memory that does not grow with
 the data: "bin" input is read, and each piece's output written, _CHUNK
 octets at a time.  A "hex" input, the vector format, is parsed whole.
-A --out file is written under a temporary name beside it and moved into
-place only on success, so a failing command leaves it absent or as it
-was.  Standard output gets each piece as it is produced: an odd-length
-"bin" input without --pad-zero has had its even prefix written there
-when the command exits 6.
+A --out file, or the file a --out symlink names, is written under a
+temporary name beside it and moved into place, keeping the old file's
+permission bits, only on success, so a failing command leaves it absent
+or as it was.  Standard output gets each piece as it is produced: an
+odd-length "bin" input without --pad-zero has had its even prefix
+written there when the command exits 6.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .core import (
     OddLengthError,
     SBOXES,
     Separ,
+    _keystream_length,
 )
 
 EXIT_OK = 0
@@ -124,28 +126,32 @@ def _read_hex(path: str) -> bytes:
 
 @contextlib.contextmanager
 def _output(path: str) -> Iterator[BinaryIO]:
-    """The binary sink for --out.  A regular file, or a path where none
-    exists yet, is written under a temporary name in the same directory
-    and moved over `path` only if the block completes; anything else
-    (stdout, a device, a pipe, a symlink) is written in place."""
+    """The binary sink for --out.  A regular file, reached through any
+    symlinks, or a path where none exists yet, is written under a
+    temporary name in the same directory and moved into place, with the
+    old file's permission bits, only if the block completes; stdout and
+    anything else that is not a regular file (a device, a pipe) is
+    written in place."""
     if path == "-":
         try:
             yield sys.stdout.buffer
         finally:
             sys.stdout.buffer.flush()
         return
-    target = Path(path)
     try:
-        in_place = not stat.S_ISREG(target.lstat().st_mode)
+        old = os.stat(path)
     except FileNotFoundError:
-        in_place = False
-    if in_place:
-        with target.open("wb") as sink:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "wb") as sink:
             yield sink
         return
+    target = Path(os.path.realpath(path))
     part = target.with_name(f".{target.name}.{os.urandom(4).hex()}.part")
     try:
         with part.open("xb") as sink:
+            if old is not None:
+                os.chmod(sink.fileno(), stat.S_IMODE(old.st_mode))
             yield sink
         os.replace(part, target)
     except BaseException:
@@ -200,13 +206,12 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
 def cmd_keystream(args: argparse.Namespace) -> int:
     """Encrypted zero words, _CHUNK octets at a time."""
     key, iv = _key_iv(args)
-    if args.words < 0:
-        raise ValueError(f"--words must be non-negative, got {args.words}")
+    nwords = _keystream_length(args.words)
     stream = Separ(key, _lfsr_from_env()).encryptor(iv)
     zeros = memoryview(bytes(_CHUNK))
     with _output(args.outfile) as sink:
-        for start in range(0, 2 * args.words, _CHUNK):
-            ks = stream.update(zeros[:2 * args.words - start])
+        for start in range(0, 2 * nwords, _CHUNK):
+            ks = stream.update(zeros[:2 * nwords - start])
             sink.write(ks if args.format == "bin" else ks.hex().upper().encode("ascii"))
         if args.format == "hex":
             sink.write(b"\n")

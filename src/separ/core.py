@@ -222,6 +222,13 @@ def _octets(words: Iterable[int]) -> bytes:
     return packed.tobytes()
 
 
+def _keystream_length(nwords: int) -> int:
+    """nwords, if it is a keystream length: not negative."""
+    if nwords < 0:
+        raise ValueError(f"keystream length must be non-negative, got {nwords}")
+    return nwords
+
+
 # ---------------------------------------------------------------------------
 # key schedule
 # ---------------------------------------------------------------------------
@@ -688,8 +695,7 @@ class Separ:
 
     def keystream(self, nonce: bytes | Sequence[int], nwords: int) -> bytes:
         """Ciphertext of nwords zero words: the statistical sample source."""
-        if nwords < 0:
-            raise ValueError(f"keystream length must be non-negative, got {nwords}")
+        _keystream_length(nwords)
         return self._message(self.initialize(nonce), itertools.repeat(0, nwords), nwords)
 
     def _message(self, st: CipherState, words: Iterable[int], nwords: int,

@@ -422,6 +422,58 @@ def test_out_symlink_is_written_through(tmp_path):
     assert target.read_bytes() == Separ(KEY).encrypt(IV, b"ABCD")
 
 
+@pytest.mark.parametrize("infile", ["link", "target"])
+def test_encrypt_in_place_through_a_symlink(tmp_path, rng, infile):
+    data = rng.randbytes(2 * _CHUNK + 6)
+    target = tmp_path / "target"
+    target.write_bytes(data)
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert run(["encrypt", "--key", KEY_HEX, "--iv", IV_HEX,
+                "--in", str(tmp_path / infile), "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    assert target.read_bytes() == Separ(KEY).encrypt(IV, data)
+    assert _listing(tmp_path) == ["link", "target"]
+
+
+def test_failure_leaves_a_symlink_target_untouched(tmp_path):
+    src = tmp_path / "in"
+    src.write_bytes(bytes(_CHUNK + 1))
+    target = tmp_path / "target"
+    target.write_bytes(b"previous")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert run(["encrypt", "--key", KEY_HEX, "--iv", IV_HEX,
+                "--in", str(src), "--out", str(link)]) == EXIT_ODD_LENGTH
+    assert link.is_symlink()
+    assert target.read_bytes() == b"previous"
+    assert _listing(tmp_path) == ["in", "link", "target"]
+
+
+@pytest.mark.parametrize("through_link", [False, True])
+def test_replaced_output_keeps_its_permission_bits(tmp_path, through_link):
+    src = tmp_path / "in"
+    src.write_bytes(Separ(KEY).encrypt(IV, b"secret"))
+    out = tmp_path / "out"
+    out.write_bytes(b"previous")
+    out.chmod(0o600)
+    if through_link:
+        (tmp_path / "link").symlink_to(out)
+    dest = tmp_path / ("link" if through_link else "out")
+    assert run(["decrypt", "--key", KEY_HEX, "--iv", IV_HEX,
+                "--in", str(src), "--out", str(dest)]) == EXIT_OK
+    assert out.read_bytes() == b"secret"
+    assert out.stat().st_mode & 0o777 == 0o600
+
+
+def test_out_device_is_written_in_place(tmp_path):
+    src = tmp_path / "in"
+    src.write_bytes(b"ABCD")
+    assert run(["encrypt", "--key", KEY_HEX, "--iv", IV_HEX,
+                "--in", str(src), "--out", os.devnull]) == EXIT_OK
+    assert _listing(tmp_path) == ["in"]
+
+
 def test_odd_input_to_stdout_leaves_the_even_prefix(tmp_path, capsysbinary):
     data = bytes(range(256)) * 2 + b"\x07"
     src = tmp_path / "in"
