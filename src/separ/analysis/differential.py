@@ -20,9 +20,9 @@ import numpy as np
 
 from ..core import (
     MASK16,
-    R_NP,
     SBOXES,
     SubkeySet,
+    _np_round_tables,
     linear_diffusion,
     nibble_mix,
 )
@@ -39,7 +39,7 @@ def _round_keys(sk: SubkeySet, iterations: int) -> list[int]:
 def b16_round_table(key: int) -> np.ndarray:
     """One round body (key XOR, substitution, mix, diffusion) evaluated
     on every 16-bit input: a gather on the shared round table R."""
-    return R_NP[np.arange(1 << 16, dtype=np.uint16) ^ key]
+    return _np_round_tables()[1][np.arange(1 << 16, dtype=np.uint16) ^ key]
 
 
 def _chain_table(sk: SubkeySet, iterations: int) -> np.ndarray:

@@ -43,7 +43,7 @@ from importlib import resources
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
 
-from . import analysis, bench
+from . import analysis  # a lazy package: each command loads what it uses
 from .core import (
     DEFAULT_LFSR,
     KEY_BYTES,
@@ -331,6 +331,7 @@ def cmd_analyze_complexity(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench
     key, iv = _key_iv(args)
     sizes = [int(s) for s in args.sizes.split(",")]
     results = []

@@ -26,9 +26,10 @@ import itertools
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MASK16 = 0xFFFF
 WORD_BITS = 16
@@ -146,42 +147,59 @@ def linear_diffusion(m: int) -> int:
 
 
 def inv_linear_diffusion(m: int) -> int:
-    """Inverse of :func:`linear_diffusion`, read off the inverse round
-    table: R^-1 = S^-1 . mix^-1 . diffusion^-1, so diffusion^-1 =
-    mix . S . R^-1."""
-    return nibble_mix(sbox_layer(R_INV[m]))
+    """Inverse of :func:`linear_diffusion`: m XOR (m <<< 4) XOR (m <<< 8),
+    since (1 + P^8 + P^12)(1 + P^4 + P^8) = 1 over GF(2) for the rotation
+    P, whose 16th power is 1."""
+    return m ^ rotl(m, 4) ^ rotl(m, 8)
 
 
 # ---------------------------------------------------------------------------
 # round tables
 # ---------------------------------------------------------------------------
 
-def _round_tables() -> list[np.ndarray]:
-    """S and R on all 2**16 words, from the scalar layers: S from its 64
-    single-nibble images (it acts nibble by nibble), the linear part of R
-    from its 16 basis images; then both inverses by scatter."""
-    zero = sbox_layer(0)
-    s = np.array([zero], dtype=np.uint16)
-    for pos in range(4):
-        col = np.array([sbox_layer(n << 4 * pos) ^ zero for n in range(16)], dtype=np.uint16)
-        s = (col[:, None] ^ s).ravel()
-    lin = np.zeros(1 << WORD_BITS, dtype=np.uint16)
-    for i in range(WORD_BITS):
-        lin[1 << i: 2 << i] = lin[: 1 << i] ^ linear_diffusion(nibble_mix(1 << i))
-    tables = [s, lin[s]]
-    for t in tables[:2]:
-        inv = np.empty_like(t)
-        inv[t] = np.arange(1 << WORD_BITS, dtype=np.uint16)
-        tables.append(inv)
-    return tables
+def _table(f) -> array:
+    """f on every 16-bit word, for an f with f(x) = f(x & 0xFF00) ^
+    f(x & 0xFF) ^ f(0): any nibble-box layer, any GF(2)-linear map, and
+    a linear map after a nibble-box layer.  So f(x) = hi[x >> 8] ^
+    lo[x & 0xFF], and the table is one XOR of two 128 KiB octet strings,
+    not 2**16 calls: each hi word repeated 256 times, and the 256 lo
+    words repeated as a block."""
+    zero = f(0)
+    his = array("H", [f(a << 8) ^ zero for a in range(256)]).tobytes()
+    hi_part = b"".join([his[i:i + 2] * 256 for i in range(0, len(his), 2)])
+    lo_part = array("H", map(f, range(256))).tobytes() * 256
+    x = int.from_bytes(hi_part, "little") ^ int.from_bytes(lo_part, "little")
+    return array("H", x.to_bytes(len(lo_part), "little"))
+
+
+def _translate_octets(table: array, hi: bytes, lo: bytes) -> array:
+    """g(table[x]) for every x, for a g that maps each octet of a word on
+    its own: the high octet through `hi`, the low one through `lo`."""
+    raw = bytearray(table.tobytes())
+    first, second = (lo, hi) if sys.byteorder == "little" else (hi, lo)
+    raw[0::2] = raw[0::2].translate(first)
+    raw[1::2] = raw[1::2].translate(second)
+    return array("H", raw)
 
 
 # S is the S-box layer and R = linear_diffusion . nibble_mix . S the
-# unkeyed round body, with their inverses.  One copy of each: array('H')
-# for scalar lookups, and numpy views of the same buffers for gathers.
-S, R, S_INV, R_INV = (array("H", t.tobytes()) for t in _round_tables())
-S_NP, R_NP, S_INV_NP, R_INV_NP = (np.frombuffer(t, dtype=np.uint16)
-                                  for t in (S, R, S_INV, R_INV))
+# unkeyed round body, with their inverses, as array('H') for scalar
+# lookups.  R^-1 = S^-1 . mix^-1 . diffusion^-1 is not of _table's form,
+# so S^-1 is applied octet by octet to the table of its linear part.
+S = _table(sbox_layer)
+R = _table(lambda m: linear_diffusion(nibble_mix(sbox_layer(m))))
+S_INV = _table(inv_sbox_layer)
+R_INV = _translate_octets(_table(lambda m: inv_nibble_mix(inv_linear_diffusion(m))),
+                          bytes(inv_sbox_layer(a << 8) >> 8 for a in range(256)),
+                          bytes(inv_sbox_layer(b) & 0xFF for b in range(256)))
+
+
+@functools.cache
+def _np_round_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """numpy views of S, R, S_INV and R_INV on the same buffers, for
+    gathers.  The first call imports numpy."""
+    import numpy as np
+    return tuple(np.frombuffer(t, dtype=np.uint16) for t in (S, R, S_INV, R_INV))
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +415,7 @@ def _lfsr_next(taps: int) -> array:
     """The LFSR clock as a table: the successor of each 16-bit state (0
     maps to 0).  The register shifts left and the parity of the tapped
     bits enters at bit 0."""
-    x = np.arange(1 << WORD_BITS, dtype=np.uint16)
-    parity = x & taps
-    for shift in (8, 4, 2, 1):
-        parity ^= parity >> shift
-    return array("H", ((x << 1) | (parity & 1)).tobytes())
+    return _table(lambda x: ((x << 1) & MASK16) | ((x & taps).bit_count() & 1))
 
 
 @functools.lru_cache(maxsize=32)
@@ -456,15 +470,19 @@ class CipherState:
 
 
 def _parse_nonce(nonce: bytes | Sequence[int]) -> list[int]:
-    if isinstance(nonce, (bytes, bytearray, memoryview)):
-        nonce = _octet_view(nonce)
-        if len(nonce) != NONCE_BYTES:
-            raise ValueError(f"nonce must be {NONCE_BYTES} octets, got {len(nonce)}")
-        return _words(nonce).tolist()
-    words = list(nonce)
-    if len(words) != 8 or any(not 0 <= w <= MASK16 for w in words):
-        raise ValueError("nonce must be eight 16-bit words")
-    return words
+    """The nonce's eight words: any bytes-like object is read as its 16
+    octets, as keys and messages are; any other sequence as the words."""
+    try:
+        memoryview(nonce)
+    except TypeError:
+        words = list(nonce)
+        if len(words) != 8 or any(not 0 <= w <= MASK16 for w in words):
+            raise ValueError("nonce must be eight 16-bit words") from None
+        return words
+    octets = _octet_view(nonce)
+    if len(octets) != NONCE_BYTES:
+        raise ValueError(f"nonce must be {NONCE_BYTES} octets, got {len(octets)}")
+    return _words(octets).tolist()
 
 
 class Separ:
@@ -667,7 +685,9 @@ class Separ:
     # and 14.9 ms word by word against 15.2 and 14.3 ms for the tables
     # plus the loop (encryption, medians of 15, two runs); at 1536 words
     # the stages won (13.0 and 10.5 ms against 14.1 and 13.3 ms), at 3072
-    # the tables (16.9 and 16.6 ms against 25.1 and 24.8 ms).
+    # the tables (16.9 and 16.6 ms against 25.1 and 24.8 ms).  Those runs
+    # had numpy loaded: the first table build in a process also pays the
+    # numpy import (about 90 ms there), which nothing below it loads.
     _BULK_THRESHOLD = 2048
 
     def encryptor(self, nonce: bytes | Sequence[int]) -> "Encryptor":
@@ -780,18 +800,22 @@ class Decryptor(_Stream):
 def enc_block_table(sk: SubkeySet) -> np.ndarray:
     """enc_block evaluated on every 16-bit input, as a uint16 array:
     the five lookups of :func:`enc_block` as gathers on the round tables."""
+    import numpy as np
+    s, r, _, _ = _np_round_tables()
     m = np.arange(1 << WORD_BITS, dtype=np.uint16)
     for k in (sk.sk1, sk.sk2, sk.sk3, sk.sk4):
-        m = R_NP[m ^ k]
-    return S_NP[m ^ sk.sk5] ^ sk.sk6
+        m = r[m ^ k]
+    return s[m ^ sk.sk5] ^ sk.sk6
 
 
 def dec_block_table(sk: SubkeySet) -> np.ndarray:
     """dec_block evaluated on every 16-bit input, as gathers on the
     inverse round tables."""
-    m = S_INV_NP[np.arange(1 << WORD_BITS, dtype=np.uint16) ^ sk.sk6] ^ sk.sk5
+    import numpy as np
+    _, _, s_inv, r_inv = _np_round_tables()
+    m = s_inv[np.arange(1 << WORD_BITS, dtype=np.uint16) ^ sk.sk6] ^ sk.sk5
     for k in (sk.sk4, sk.sk3, sk.sk2, sk.sk1):
-        m = R_INV_NP[m] ^ k
+        m = r_inv[m] ^ k
     return m
 
 

@@ -515,9 +515,12 @@ def test_cli_streams_in_chunks(tmp_path, monkeypatch, rng):
 
 
 # The child reads its peak RSS as VmHWM: ru_maxrss would start from the
-# forking test process's own peak, which exec carries over on Linux.
+# forking test process's own peak, which exec carries over on Linux.  It
+# imports numpy before its baseline: the first table build imports it,
+# and the probe measures the file's pieces, not the library's code.
 RSS_PROBE = """
 import re, sys
+import numpy
 from separ import cli
 def peak_kib():
     with open("/proc/self/status") as f:

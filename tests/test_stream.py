@@ -110,6 +110,16 @@ def test_bytes_like_inputs_count_octets(rng):
     assert cipher.decrypt(nonce, _wide(ct)) == data
     stream = cipher.encryptor(nonce)
     assert stream.update(_wide(data[:4])) + stream.update(_wide(data[4:])) == ct
+    for typecode in "BH":  # the arrays themselves, not views of them
+        def raw(octets):
+            return array(typecode, octets)
+        assert Separ(raw(key)).encrypt(nonce, data) == ct
+        assert cipher.encrypt(raw(nonce), data) == ct
+        assert cipher.encrypt(nonce, raw(data)) == ct
+        assert cipher.decrypt(raw(nonce), raw(ct)) == data
+    # only a sequence that is not bytes-like holds the nonce's words
+    words = [int.from_bytes(nonce[i:i + 2], "big") for i in range(0, 16, 2)]
+    assert cipher.encrypt(words, data) == cipher.encrypt(tuple(words), data) == ct
 
 
 @pytest.mark.parametrize("octets", [31, 33])
