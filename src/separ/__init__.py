@@ -35,12 +35,10 @@ def _lazy(package: str, exports: dict[str, tuple[str, ...]]):
 
 _EXPORTS = {
     "core": ("CipherState", "DEFAULT_LFSR", "Decryptor", "Encryptor", "LfsrSpec",
-             "OddLengthError", "SBOXES", "SegmentKey", "Separ", "SubkeySet",
-             "ZERO_SUBKEYS", "dec_block", "decrypt_message", "derive_subkeys",
-             "enc_block", "enc_block_table", "encrypt_message", "inv_linear_diffusion",
+             "OddLengthError", "SBOXES", "Separ", "SubkeySet", "ZERO_SUBKEYS",
+             "dec_block", "enc_block", "enc_block_table", "inv_linear_diffusion",
              "inv_nibble_mix", "inv_sbox_layer", "lfsr_clock", "linear_diffusion",
-             "modadd", "modsub", "nibble_mix", "rotl", "rotr", "sbox_apply",
-             "sbox_layer", "split_master_key"),
+             "modadd", "nibble_mix", "rotl", "sbox_layer"),
     "bench": ("BenchResult", "compute_throughput", "results_csv", "run_bench"),
     "analysis": (),
 }

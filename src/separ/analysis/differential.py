@@ -32,7 +32,7 @@ MAX_ITERATIONS = 5
 
 
 def _round_keys(sk: SubkeySet, iterations: int) -> list[int]:
-    keys = [sk.sk1, sk.sk2, sk.sk3, sk.sk4, sk.sk5, sk.sk6]
+    keys = sk.keys
     return [keys[i % 6] for i in range(iterations)]
 
 

@@ -102,7 +102,7 @@ def _lfsr_from_env() -> LfsrSpec:
         taps = int(raw, 16)
     except ValueError:
         raise HexFormatError(f"SEPAR_LFSR_TAPS is not valid hex: {raw!r}") from None
-    return LfsrSpec(taps=taps, description=f"mask {taps:#06x} (environment override)")
+    return LfsrSpec(taps=taps)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import itertools
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,30 +70,9 @@ def rotl(x: int, n: int) -> int:
     return ((x << n) | (x >> (WORD_BITS - n))) & MASK16
 
 
-def rotr(x: int, n: int) -> int:
-    """Rotate a 16-bit word right by n positions."""
-    return rotl(x, (WORD_BITS - n) % WORD_BITS)
-
-
 def modadd(x: int, y: int) -> int:
     """(x + y) mod 2**16."""
     return (x + y) & MASK16
-
-
-def modsub(x: int, y: int) -> int:
-    """(x - y) mod 2**16."""
-    return (x - y) & MASK16
-
-
-def sbox_apply(box: Sequence[int], x: int) -> int:
-    """Look up a nibble in a substitution table.
-
-    Raises ValueError for inputs outside [0, 15]; the tables are only
-    defined on nibbles and silent masking would hide caller bugs.
-    """
-    if not 0 <= x <= 0xF:
-        raise ValueError(f"nibble out of range: {x!r}")
-    return box[x]
 
 
 def _nibbles(m: int) -> tuple[int, int, int, int]:
@@ -251,14 +230,6 @@ def _keystream_length(nwords: int) -> int:
 # key schedule
 # ---------------------------------------------------------------------------
 
-class SegmentKey(NamedTuple):
-    """One 32-bit slice of the master key: k1 is the high half."""
-
-    index: int
-    k1: int
-    k2: int
-
-
 @dataclass(frozen=True)
 class SubkeySet:
     """The six 16-bit subkeys feeding one enc_block stage.
@@ -278,14 +249,18 @@ class SubkeySet:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= NUM_BLOCKS:
             raise ValueError(f"stage index out of range: {self.n}")
-        for name in ("sk1", "sk2", "sk3", "sk4", "sk5", "sk6"):
-            v = getattr(self, name)
+        for i, v in enumerate(self.keys, 1):
             if not 0 <= v <= MASK16:
-                raise ValueError(f"{name} out of range: {v:#x}")
+                raise ValueError(f"sk{i} out of range: {v:#x}")
         if self.sk5 != self.sk1 ^ self.sk2:
             raise ValueError("sk5 must equal sk1 XOR sk2")
         if self.sk6 != self.sk3 ^ self.sk4:
             raise ValueError("sk6 must equal sk3 XOR sk4")
+
+    @property
+    def keys(self) -> tuple[int, int, int, int, int, int]:
+        """sk1..sk6, in order."""
+        return self.sk1, self.sk2, self.sk3, self.sk4, self.sk5, self.sk6
 
     @classmethod
     def from_halves(cls, n: int, sk1: int, sk2: int, sk3: int, sk4: int) -> "SubkeySet":
@@ -307,16 +282,6 @@ def _key_words(key: bytes) -> array:
     return _words(key)
 
 
-def split_master_key(key: bytes) -> list[SegmentKey]:
-    """Split a 256-bit key into eight 32-bit segments, big-endian.
-
-    Segment 1 is the most significant 32 bits; within a segment k1 is
-    the high 16 bits.
-    """
-    w = _key_words(key)
-    return [SegmentKey(i + 1, w[2 * i], w[2 * i + 1]) for i in range(NUM_BLOCKS)]
-
-
 def _sbox_window(w: int) -> int:
     """Substitute the 4-bit field at bits 7..10 through the first S-box."""
     field = (w & _FIELD_MASK) >> _FIELD_SHIFT
@@ -330,38 +295,20 @@ def _stage_keys(k1: int, k2: int, n: int) -> tuple[int, int, int, int, int, int]
     return k1, k2, sk3, sk4, k1 ^ k2, sk3 ^ sk4
 
 
-def derive_subkeys(seg: SegmentKey, n: int) -> SubkeySet:
-    """Expand one segment key into the six subkeys for stage n."""
-    if not 1 <= n <= NUM_BLOCKS:
-        raise ValueError(f"stage index out of range: {n}")
-    return SubkeySet(n, *_stage_keys(seg.k1, seg.k2, n))
-
-
 # ---------------------------------------------------------------------------
 # the 16-bit keyed permutation
 # ---------------------------------------------------------------------------
 
-def enc_block(m: int, sk: SubkeySet) -> int:
-    """Four keyed rounds, then a final keyed substitution:
+class _Stage:
+    """enc_block under one stage's subkeys sk1..sk6: four keyed rounds,
+    then a final keyed substitution,
 
         S[R[R[R[R[m^k1]^k2]^k3]^k4]^k5]^k6
 
     where R is one unkeyed round (S-box layer, nibble mix, diffusion)
-    and S the S-box layer, both as shared 2**16-entry tables.
-    """
-    return S[R[R[R[R[m ^ sk.sk1] ^ sk.sk2] ^ sk.sk3] ^ sk.sk4] ^ sk.sk5] ^ sk.sk6
-
-
-def dec_block(c: int, sk: SubkeySet) -> int:
-    """Exact inverse of :func:`enc_block`, on the inverse tables."""
-    m = S_INV[c ^ sk.sk6] ^ sk.sk5
-    return R_INV[R_INV[R_INV[R_INV[m] ^ sk.sk4] ^ sk.sk3] ^ sk.sk2] ^ sk.sk1
-
-
-class _Stage:
-    """enc_block under one stage's subkeys (sk1..sk6, as from
-    :func:`_stage_keys`), indexed like that stage's per-key table, so
-    that the word loops serve both."""
+    and S the S-box layer, both as shared 2**16-entry tables.  Indexed
+    like that stage's per-key table, so that the word loops serve both;
+    like the table, it wraps an index in [-2**16, 0)."""
 
     __slots__ = ("keys",)
 
@@ -383,6 +330,20 @@ class _InverseStage(_Stage):
         return R_INV[R_INV[R_INV[R_INV[S_INV[c ^ k6] ^ k5] ^ k4] ^ k3] ^ k2] ^ k1
 
 
+def enc_block(m: int, sk: SubkeySet) -> int:
+    """The keyed 16-bit permutation of one stage (see :class:`_Stage`)."""
+    if not 0 <= m <= MASK16:
+        raise ValueError(f"block word out of range: {m!r}")
+    return _Stage(sk.keys)[m]
+
+
+def dec_block(c: int, sk: SubkeySet) -> int:
+    """Exact inverse of :func:`enc_block`, on the inverse tables."""
+    if not 0 <= c <= MASK16:
+        raise ValueError(f"block word out of range: {c!r}")
+    return _InverseStage(sk.keys)[c]
+
+
 # ---------------------------------------------------------------------------
 # LFSR
 # ---------------------------------------------------------------------------
@@ -400,7 +361,6 @@ class LfsrSpec:
     """
 
     taps: int = 0xD008
-    description: str = "x^16 + x^15 + x^13 + x^4 + 1"
 
     def __post_init__(self) -> None:
         if not 0 < self.taps <= MASK16:
@@ -501,7 +461,7 @@ class Separ:
     def __init__(self, key: bytes, lfsr_spec: LfsrSpec = DEFAULT_LFSR) -> None:
         w = _key_words(key)
         # Only the stage objects' six ints feed the word loops and
-        # initialize; the validated views below are built on first use.
+        # initialize; the validated `subkeys` are built on first use.
         keys = [_stage_keys(w[2 * i], w[2 * i + 1], i + 1) for i in range(NUM_BLOCKS)]
         self.lfsr_spec = lfsr_spec
         self._lfsr_table = _lfsr_next(lfsr_spec.taps)
@@ -509,12 +469,6 @@ class Separ:
         self._inverse_stages = tuple(map(_InverseStage, keys))
         self._enc_tables: list[array] | None = None
         self._dec_tables: list[array] | None = None
-
-    @functools.cached_property
-    def segments(self) -> list[SegmentKey]:
-        """The master key's eight segments, as :func:`split_master_key`
-        gives them: each stage's sk1 and sk2 are its segment's k1 and k2."""
-        return [SegmentKey(n, st.keys[0], st.keys[1]) for n, st in enumerate(self._stages, 1)]
 
     @functools.cached_property
     def subkeys(self) -> tuple[SubkeySet, ...]:
@@ -802,10 +756,11 @@ def enc_block_table(sk: SubkeySet) -> np.ndarray:
     the five lookups of :func:`enc_block` as gathers on the round tables."""
     import numpy as np
     s, r, _, _ = _np_round_tables()
+    *round_keys, k5, k6 = sk.keys
     m = np.arange(1 << WORD_BITS, dtype=np.uint16)
-    for k in (sk.sk1, sk.sk2, sk.sk3, sk.sk4):
+    for k in round_keys:
         m = r[m ^ k]
-    return s[m ^ sk.sk5] ^ sk.sk6
+    return s[m ^ k5] ^ k6
 
 
 def dec_block_table(sk: SubkeySet) -> np.ndarray:
@@ -813,20 +768,9 @@ def dec_block_table(sk: SubkeySet) -> np.ndarray:
     inverse round tables."""
     import numpy as np
     _, _, s_inv, r_inv = _np_round_tables()
-    m = s_inv[np.arange(1 << WORD_BITS, dtype=np.uint16) ^ sk.sk6] ^ sk.sk5
-    for k in (sk.sk4, sk.sk3, sk.sk2, sk.sk1):
+    k1, k2, k3, k4, k5, k6 = sk.keys
+    m = s_inv[np.arange(1 << WORD_BITS, dtype=np.uint16) ^ k6] ^ k5
+    for k in (k4, k3, k2, k1):
         m = r_inv[m] ^ k
     return m
 
-
-# -- module-level conveniences -------------------------------------------
-
-def encrypt_message(key: bytes, nonce: bytes | Sequence[int], data: bytes,
-                    pad_zero: bool = False,
-                    lfsr_spec: LfsrSpec = DEFAULT_LFSR) -> bytes:
-    return Separ(key, lfsr_spec).encrypt(nonce, data, pad_zero=pad_zero)
-
-
-def decrypt_message(key: bytes, nonce: bytes | Sequence[int], data: bytes,
-                    lfsr_spec: LfsrSpec = DEFAULT_LFSR) -> bytes:
-    return Separ(key, lfsr_spec).decrypt(nonce, data)

@@ -1,6 +1,7 @@
 """The 16-bit keyed permutation and its table form."""
 
 import numpy as np
+import pytest
 
 from conftest import random_subkeys
 from reference_oracle import ref_enc_block
@@ -22,6 +23,14 @@ def test_dec_block_golden_inverse():
     assert dec_block(GOLDEN_ZERO, ZERO_SUBKEYS) == 0x0000
 
 
+@pytest.mark.parametrize("word", [-1, 0x10000])
+@pytest.mark.parametrize("block", [enc_block, dec_block])
+def test_block_rejects_out_of_range_word(block, word):
+    """A word outside [0, 2**16) is refused, not wrapped as a table index."""
+    with pytest.raises(ValueError, match="out of range"):
+        block(word, ZERO_SUBKEYS)
+
+
 def test_inverse_sbox_entry():
     # the first box sends 0 -> 1, so its inverse sends 1 -> 0
     from separ.core import INV_SBOXES
@@ -32,8 +41,7 @@ def test_against_reference_random(rng):
     for _ in range(200):
         sk = random_subkeys(rng, rng.randrange(1, 9))
         m = rng.randrange(1 << 16)
-        assert enc_block(m, sk) == ref_enc_block(
-            m, sk.sk1, sk.sk2, sk.sk3, sk.sk4, sk.sk5, sk.sk6)
+        assert enc_block(m, sk) == ref_enc_block(m, *sk.keys)
 
 
 def test_table_matches_scalar_exhaustive(rng):

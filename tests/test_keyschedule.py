@@ -1,62 +1,62 @@
-"""Master key splitting and subkey derivation."""
+"""The key schedule: each stage's subkeys from its 32-bit key segment."""
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as hs
 
 from reference_oracle import ref_schedule
-from separ.core import SegmentKey, Separ, SubkeySet, derive_subkeys, split_master_key
+from separ.core import Separ, SubkeySet
 
 
 def test_split_zero_key():
-    segs = split_master_key(bytes(32))
-    assert len(segs) == 8
-    assert all((s.k1, s.k2) == (0, 0) for s in segs)
-    assert [s.index for s in segs] == list(range(1, 9))
+    subkeys = Separ(bytes(32)).subkeys
+    assert len(subkeys) == 8
+    assert all((sk.sk1, sk.sk2) == (0, 0) for sk in subkeys)
+    assert [sk.n for sk in subkeys] == list(range(1, 9))
 
 
 def test_split_first_segment_big_endian():
     key = bytes.fromhex(
         "E8B9B733DA5D96D702DD3972E95307FD50C512DBF44A233E8D1E9DF5FC7D6371")
-    segs = split_master_key(key)
-    assert (segs[0].k1, segs[0].k2) == (0xE8B9, 0xB733)
-    assert (segs[7].k1, segs[7].k2) == (0xFC7D, 0x6371)
+    subkeys = Separ(key).subkeys
+    assert (subkeys[0].sk1, subkeys[0].sk2) == (0xE8B9, 0xB733)
+    assert (subkeys[7].sk1, subkeys[7].sk2) == (0xFC7D, 0x6371)
 
 
 def test_split_partition_property(rng):
+    """Stage n's sk1 and sk2 are the key's octets 4n - 4 .. 4n - 1."""
     key = rng.randbytes(32)
-    segs = split_master_key(key)
     rebuilt = b"".join(
-        s.k1.to_bytes(2, "big") + s.k2.to_bytes(2, "big") for s in segs)
+        sk.sk1.to_bytes(2, "big") + sk.sk2.to_bytes(2, "big") for sk in Separ(key).subkeys)
     assert rebuilt == key
 
 
 @pytest.mark.parametrize("length", [0, 16, 31, 33, 64])
 def test_split_rejects_wrong_length(length):
     with pytest.raises(ValueError):
-        split_master_key(bytes(length))
+        Separ(bytes(length))
 
 
 def test_derive_zero_segment():
-    sk = derive_subkeys(SegmentKey(1, 0, 0), 1)
-    assert (sk.sk1, sk.sk2, sk.sk3, sk.sk4, sk.sk5, sk.sk6) == (
+    assert Separ(bytes(32)).subkeys[0].keys == (
         0x0000, 0x0000, 0x0083, 0x0084, 0x0000, 0x0007)
 
 
 def test_derive_identities_random(rng):
-    for _ in range(1000):
-        seg = SegmentKey(1, rng.randrange(1 << 16), rng.randrange(1 << 16))
-        n = rng.randrange(1, 9)
-        sk = derive_subkeys(seg, n)
-        assert sk.sk5 == sk.sk1 ^ sk.sk2
-        assert sk.sk6 == sk.sk3 ^ sk.sk4
-        assert sk.sk1 == seg.k1 and sk.sk2 == seg.k2
+    for _ in range(125):
+        key = rng.randbytes(32)
+        for n, sk in enumerate(Separ(key).subkeys, 1):
+            assert sk.n == n
+            assert sk.sk5 == sk.sk1 ^ sk.sk2
+            assert sk.sk6 == sk.sk3 ^ sk.sk4
+            assert (sk.sk1, sk.sk2) == (int.from_bytes(key[4 * n - 4:4 * n - 2], "big"),
+                                        int.from_bytes(key[4 * n - 2:4 * n], "big"))
 
 
 @pytest.mark.parametrize("n", [0, 9, -1])
 def test_derive_rejects_bad_stage(n):
-    with pytest.raises(ValueError):
-        derive_subkeys(SegmentKey(1, 0, 0), n)
+    with pytest.raises(ValueError, match="stage index out of range"):
+        SubkeySet.from_halves(n, 0, 0, 0, 0)
 
 
 def test_subkeyset_rejects_broken_identities():
@@ -67,22 +67,23 @@ def test_subkeyset_rejects_broken_identities():
 
 
 def test_stage_number_changes_subkeys():
-    seg = SegmentKey(1, 0x1234, 0x5678)
-    sets = [derive_subkeys(seg, n) for n in range(1, 9)]
-    assert len({(s.sk3, s.sk4) for s in sets}) == 8
+    """Eight stages with equal segments still get distinct (sk3, sk4)."""
+    subkeys = Separ(bytes.fromhex("12345678") * 8).subkeys
+    assert {(sk.sk1, sk.sk2) for sk in subkeys} == {(0x1234, 0x5678)}
+    assert len({(sk.sk3, sk.sk4) for sk in subkeys}) == 8
 
 
 @given(key=hs.binary(min_size=32, max_size=32))
 @example(key=bytes(32))
 @example(key=b"\xff" * 32)
 def test_cipher_schedule_matches_reference(key):
-    """The stage keys the word loops read, and the lazily built public
-    views, equal the oracle's schedule and the module functions."""
+    """The stage keys the word loops read, and the lazily built
+    `subkeys`, equal the oracle's schedule."""
     cipher = Separ(key)
     assert [list(stage.keys) for stage in cipher._stages] == ref_schedule(key)
     assert [list(stage.keys) for stage in cipher._inverse_stages] == ref_schedule(key)
-    assert cipher.subkeys == tuple(derive_subkeys(s, s.index) for s in split_master_key(key))
-    assert cipher.segments == split_master_key(key)
+    assert [list(sk.keys) for sk in cipher.subkeys] == ref_schedule(key)
+    assert [sk.n for sk in cipher.subkeys] == list(range(1, 9))
 
 
 @pytest.mark.parametrize("length", [0, 31, 33])

@@ -1,4 +1,4 @@
-"""Byte-message framing, the bulk table path, and the module helpers."""
+"""Byte-message framing and the bulk table path."""
 
 from array import array
 
@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_oracle import ref_encrypt_bytes, ref_encrypt_words
-from separ.core import (
-    OddLengthError,
-    Separ,
-    _octets,
-    decrypt_message,
-    encrypt_message,
-)
+from separ.core import OddLengthError, Separ, _octets
 
 
 def test_empty_message():
@@ -129,14 +123,6 @@ def test_matches_reference_bytes(rng):
     nonce = rng.randbytes(16)
     data = rng.randbytes(64)
     assert Separ(key).encrypt(nonce, data) == ref_encrypt_bytes(key, nonce, data)
-
-
-def test_module_level_helpers(rng):
-    key = rng.randbytes(32)
-    nonce = rng.randbytes(16)
-    data = rng.randbytes(100)
-    ct = encrypt_message(key, nonce, data)
-    assert decrypt_message(key, nonce, ct) == data
 
 
 def test_keystream_is_zero_word_ciphertext(rng):

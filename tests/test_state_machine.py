@@ -46,11 +46,10 @@ def test_initialize_matches_reference(key, nonce):
 
 def test_setup_and_short_message_build_no_schedule_objects(monkeypatch):
     """Construction and a short message read only the stage objects: no
-    SegmentKey or SubkeySet is built unless a caller asks for one."""
+    SubkeySet is built unless a caller asks for one."""
     def built(*args, **kwargs):
         raise AssertionError("a schedule object was built")
 
-    monkeypatch.setattr(core.SegmentKey, "__new__", built)
     monkeypatch.setattr(core.SubkeySet, "__init__", built)
     cipher = Separ(bytes(range(32)))
     ct = cipher.encrypt(bytes(16), bytes(24))
