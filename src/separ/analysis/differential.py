@@ -31,11 +31,6 @@ from .sbox import compute_ddt
 MAX_ITERATIONS = 5
 
 
-def _round_keys(sk: SubkeySet, iterations: int) -> list[int]:
-    keys = sk.keys
-    return [keys[i % 6] for i in range(iterations)]
-
-
 def b16_round_table(key: int) -> np.ndarray:
     """One round body (key XOR, substitution, mix, diffusion) evaluated
     on every 16-bit input: a gather on the shared round table R."""
@@ -43,9 +38,12 @@ def b16_round_table(key: int) -> np.ndarray:
 
 
 def _chain_table(sk: SubkeySet, iterations: int) -> np.ndarray:
+    """The round bodies keyed by sk1..sk<iterations>, in order, composed
+    on every 16-bit input: one gather on R per round."""
+    r = _np_round_tables()[1]
     table = np.arange(1 << 16, dtype=np.uint16)
-    for key in _round_keys(sk, iterations):
-        table = b16_round_table(key)[table]
+    for key in sk.keys[:iterations]:
+        table = r[table ^ key]
     return table
 
 

@@ -57,8 +57,6 @@ def avalanche(key: bytes, nonce: bytes, pt: bytes,
     flip_target selects where the bit is flipped: "plaintext", "key", or
     "iv".  Bit 0 is the most significant bit of the first octet.
     """
-    if len(pt) % 2:
-        raise ValueError("plaintext length must be a multiple of 2 octets")
     if flip_target not in ("plaintext", "key", "iv"):
         raise ValueError(f"unknown flip target: {flip_target!r}")
     cipher = Separ(key, lfsr_spec)

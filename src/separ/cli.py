@@ -21,12 +21,13 @@ test suite ingests.
 encrypt, decrypt and keystream run in memory that does not grow with
 the data: "bin" input is read, and each piece's output written, _CHUNK
 octets at a time.  A "hex" input, the vector format, is parsed whole.
-A --out file, or the file a --out symlink names, is written under a
-temporary name beside it and moved into place, keeping the old file's
-permission bits, only on success, so a failing command leaves it absent
-or as it was.  Standard output gets each piece as it is produced: an
-odd-length "bin" input without --pad-zero has had its even prefix
-written there when the command exits 6.
+Every --out file, or the file a --out symlink names, and each CSV of
+"analyze sbox", is written under a temporary name beside it and moved
+into place, keeping the old file's permission bits, only on success, so
+a failing command leaves it absent or as it was.  Standard output gets
+each piece as it is produced: an odd-length "bin" input without
+--pad-zero has had its even prefix written there when the command
+exits 6.
 """
 
 from __future__ import annotations
@@ -159,13 +160,6 @@ def _output(path: str) -> Iterator[BinaryIO]:
         raise
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
-
-
 # ---------------------------------------------------------------------------
 # cipher commands
 # ---------------------------------------------------------------------------
@@ -241,8 +235,9 @@ def cmd_analyze_sbox(args: argparse.Namespace) -> int:
     lat = analysis.compute_lat(box)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / f"sbox{args.id}_ddt.csv").write_text(_table_csv(ddt.counts))
-    (outdir / f"sbox{args.id}_lat.csv").write_text(_table_csv(lat.biases))
+    for name, table in (("ddt", ddt.counts), ("lat", lat.biases)):
+        with _output(str(outdir / f"sbox{args.id}_{name}.csv")) as sink:
+            sink.write(_table_csv(table).encode("ascii"))
     report = analysis.golden_check(box)
     print(f"S-box {args.id}: bijective={report.bijective} "
           f"max_diff_prob={report.max_diff_prob} "
@@ -307,10 +302,11 @@ def cmd_analyze_diff(args: argparse.Namespace) -> int:
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"--pmin is not a finite probability: {args.pmin!r}") from None
     chars = analysis.characteristic_search(args.rounds, p_min)
-    lines = [f"{c.differences[0]:04X} -> {c.differences[-1]:04X} "
-             f"p={c.probability.numerator}/{c.probability.denominator}"
-             for c in chars]
-    _write_text(args.outfile, "\n".join(lines) + ("\n" if lines else ""))
+    text = "".join(f"{c.differences[0]:04X} -> {c.differences[-1]:04X} "
+                   f"p={c.probability.numerator}/{c.probability.denominator}\n"
+                   for c in chars)
+    with _output(args.outfile) as sink:
+        sink.write(text.encode("ascii"))
     if args.outfile != "-":
         print(f"{len(chars)} characteristics -> {args.outfile}")
     return EXIT_OK
@@ -343,7 +339,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if op == "encrypt":
                 results.append(init)
             results.append(work)
-    _write_text(args.outfile, bench.results_csv(results))
+    with _output(args.outfile) as sink:
+        sink.write(bench.results_csv(results).encode("ascii"))
     return EXIT_OK
 
 
@@ -462,9 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze_diff)
 
     p = asub.add_parser("complexity", help="algebraic equation/variable counts")
-    p.add_argument("--sboxes-per-encblock", type=int, default=18)
-    p.add_argument("--encblocks", type=int, default=16)
-    p.add_argument("--keyschedule-sboxes", type=int, default=32)
+    p.add_argument("--sboxes-per-encblock", type=int, default=18,
+                   help="S-boxes per enc_block (default 18: the paper's tally)")
+    p.add_argument("--encblocks", type=int, default=16,
+                   help="enc_block applications (default 16: the paper's tally)")
+    p.add_argument("--keyschedule-sboxes", type=int, default=32,
+                   help="key-schedule S-boxes (default 32: the paper's tally)")
     p.set_defaults(fn=cmd_analyze_complexity)
 
     p = sub.add_parser("bench", help="timing and throughput measurements")

@@ -303,31 +303,39 @@ class _Stage:
     """enc_block under one stage's subkeys sk1..sk6: four keyed rounds,
     then a final keyed substitution,
 
-        S[R[R[R[R[m^k1]^k2]^k3]^k4]^k5]^k6
+        s[r[r[r[r[m^k1]^k2]^k3]^k4]^k5]^k6
 
-    where R is one unkeyed round (S-box layer, nibble mix, diffusion)
-    and S the S-box layer, both as shared 2**16-entry tables.  Indexed
-    like that stage's per-key table, so that the word loops serve both;
-    like the table, it wraps an index in [-2**16, 0)."""
+    where r is one unkeyed round (S-box layer, nibble mix, diffusion)
+    and s the S-box layer, as 2**16-entry tables: by default the shared
+    S and R, so that a word indexes like that stage's per-key table and
+    the word loops serve both (like the table, it wraps an index in
+    [-2**16, 0)); on the numpy views of :func:`_np_round_tables`, a
+    uint16 index array gathers."""
 
-    __slots__ = ("keys",)
+    __slots__ = ("keys", "s", "r")
 
-    def __init__(self, keys: tuple[int, int, int, int, int, int]) -> None:
-        self.keys = keys
+    def __init__(self, keys: tuple[int, int, int, int, int, int], s=S, r=R) -> None:
+        self.keys, self.s, self.r = keys, s, r
 
-    def __getitem__(self, m: int) -> int:
+    def __getitem__(self, m: int | np.ndarray) -> int | np.ndarray:
         k1, k2, k3, k4, k5, k6 = self.keys
-        return S[R[R[R[R[m ^ k1] ^ k2] ^ k3] ^ k4] ^ k5] ^ k6
+        s, r = self.s, self.r
+        return s[r[r[r[r[m ^ k1] ^ k2] ^ k3] ^ k4] ^ k5] ^ k6
 
 
 class _InverseStage(_Stage):
-    """dec_block under one stage's subkeys, indexed like its inverse table."""
+    """dec_block under one stage's subkeys, on S_INV and R_INV by default:
+    indexed like its inverse table."""
 
     __slots__ = ()
 
-    def __getitem__(self, c: int) -> int:
+    def __init__(self, keys: tuple[int, int, int, int, int, int], s=S_INV, r=R_INV) -> None:
+        super().__init__(keys, s, r)
+
+    def __getitem__(self, c: int | np.ndarray) -> int | np.ndarray:
         k1, k2, k3, k4, k5, k6 = self.keys
-        return R_INV[R_INV[R_INV[R_INV[S_INV[c ^ k6] ^ k5] ^ k4] ^ k3] ^ k2] ^ k1
+        s, r = self.s, self.r
+        return r[r[r[r[s[c ^ k6] ^ k5] ^ k4] ^ k3] ^ k2] ^ k1
 
 
 def enc_block(m: int, sk: SubkeySet) -> int:
@@ -752,25 +760,15 @@ class Decryptor(_Stream):
 
 
 def enc_block_table(sk: SubkeySet) -> np.ndarray:
-    """enc_block evaluated on every 16-bit input, as a uint16 array:
-    the five lookups of :func:`enc_block` as gathers on the round tables."""
+    """enc_block evaluated on every 16-bit input, as a uint16 array: the
+    stage object on the numpy round tables, indexed with every word."""
     import numpy as np
     s, r, _, _ = _np_round_tables()
-    *round_keys, k5, k6 = sk.keys
-    m = np.arange(1 << WORD_BITS, dtype=np.uint16)
-    for k in round_keys:
-        m = r[m ^ k]
-    return s[m ^ k5] ^ k6
+    return _Stage(sk.keys, s, r)[np.arange(1 << WORD_BITS, dtype=np.uint16)]
 
 
 def dec_block_table(sk: SubkeySet) -> np.ndarray:
-    """dec_block evaluated on every 16-bit input, as gathers on the
-    inverse round tables."""
+    """dec_block evaluated on every 16-bit input, on the inverse tables."""
     import numpy as np
     _, _, s_inv, r_inv = _np_round_tables()
-    k1, k2, k3, k4, k5, k6 = sk.keys
-    m = s_inv[np.arange(1 << WORD_BITS, dtype=np.uint16) ^ k6] ^ k5
-    for k in (k4, k3, k2, k1):
-        m = r_inv[m] ^ k
-    return m
-
+    return _InverseStage(sk.keys, s_inv, r_inv)[np.arange(1 << WORD_BITS, dtype=np.uint16)]

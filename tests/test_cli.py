@@ -289,6 +289,38 @@ def test_bench_csv(tmp_path):
     assert len(lines) == 4  # header + init + encrypt + decrypt
 
 
+# text outputs: (argv with {out} and {dir} to fill in, files written, start of each)
+TEXT_OUTPUTS = {
+    "analyze diff": (["analyze", "diff", "--rounds", "1", "--pmin", "0.25", "--out", "{out}"],
+                     {"out": "0002 -> 00AA p=1/4\n"}),
+    "bench": (["bench", "--sizes", "64", "--reps", "2", "--out", "{out}"],
+              {"out": "operation,message_bits"}),
+    "analyze sbox": (["analyze", "sbox", "--id", "1", "--out-dir", "{dir}"],
+                     {"sbox1_ddt.csv": "16,0,0", "sbox1_lat.csv": "8,0,0"}),
+}
+
+
+@pytest.mark.parametrize("command", TEXT_OUTPUTS)
+def test_text_output_is_replaced_not_truncated(tmp_path, capsys, command):
+    """A text --out (or CSV) that already exists is replaced as a whole:
+    another hard link to the old file keeps the old content."""
+    argv, written = TEXT_OUTPUTS[command]
+    for name in written:
+        (tmp_path / name).write_text("previous\n")
+        os.link(tmp_path / name, tmp_path / f"{name}.old")
+    assert run([a.format(out=tmp_path / "out", dir=tmp_path) for a in argv]) == EXIT_OK
+    for name, start in written.items():
+        assert (tmp_path / name).read_text().startswith(start)
+        assert (tmp_path / f"{name}.old").read_text() == "previous\n"
+
+
+def test_analyze_diff_to_stdout(capsys):
+    assert run(["analyze", "diff", "--rounds", "1", "--pmin", "0.25"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 72
+    assert all(ln.endswith(" p=1/4") for ln in lines)
+
+
 def test_vectors_check_passes():
     assert run(["vectors", "check"]) == EXIT_OK
 

@@ -15,6 +15,7 @@ from separ.analysis import (
     diff_spectrum,
 )
 from separ.core import (
+    R,
     SBOXES,
     ZERO_SUBKEYS,
     inv_linear_diffusion,
@@ -85,6 +86,21 @@ def test_diff_count_matches_brute_force(rng):
     diffs = table[x] ^ table[x ^ a]
     b = int(diffs[rng.randrange(1 << 16)])
     assert diff_count(sk, a, b, 1) == int((diffs == b).sum())
+
+
+@pytest.mark.parametrize("iterations", range(1, 6))
+def test_diff_spectrum_matches_scalar_round_chain(rng, iterations):
+    """diff_spectrum over r rounds is the brute-force count over the
+    scalar composition on core.R, keyed by sk1..skr in order."""
+    sk = random_subkeys(rng, iterations)
+    f = list(range(1 << 16))
+    for key in sk.keys[:iterations]:
+        f = [R[v ^ key] for v in f]
+    a = rng.randrange(1, 1 << 16)
+    spec = diff_spectrum(sk, a, iterations)
+    x0 = rng.randrange(1 << 16)
+    for b in (f[x0] ^ f[x0 ^ a], rng.randrange(1 << 16)):
+        assert int(spec[b]) == sum(f[x] ^ f[x ^ a] == b for x in range(1 << 16))
 
 
 def test_diff_count_sampled_max_small(rng):

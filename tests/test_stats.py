@@ -19,7 +19,7 @@ from separ.analysis import (
 )
 from separ.analysis import stats
 from separ.analysis.stats import PeriodicityReport, hamming_distance
-from separ.core import Separ
+from separ.core import OddLengthError, Separ
 
 KEY = bytes.fromhex(
     "E8B9B733DA5D96D702DD3972E95307FD50C512DBF44A233E8D1E9DF5FC7D6371")
@@ -68,7 +68,7 @@ def test_avalanche_rejects_bad_input():
         avalanche(KEY, IV, PT, "plaintext", 128)
     with pytest.raises(ValueError):
         avalanche(KEY, IV, PT, "ciphertext", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(OddLengthError):  # the cipher's rule, a ValueError
         avalanche(KEY, IV, PT[:-1], "plaintext", 0)
 
 
