@@ -29,9 +29,6 @@ class Ddt:
 
     counts: np.ndarray
 
-    def row(self, a: int) -> np.ndarray:
-        return self.counts[a]
-
 
 @dataclass(frozen=True)
 class Lat:

@@ -66,9 +66,7 @@ EXIT_ODD_LENGTH = 6
 DEFAULT_KEY = "00" * KEY_BYTES
 DEFAULT_IV = "00" * NONCE_BYTES
 
-# Octets of "bin" input per read, and of keystream per write: 32768 words,
-# above Separ._BULK_THRESHOLD, so that a file runs on the engine its whole
-# length would pick.
+# Octets of "bin" input per read, and of keystream per write.
 _CHUNK = 1 << 16
 
 
@@ -216,7 +214,7 @@ def cmd_keystream(args: argparse.Namespace) -> int:
 # analysis commands
 # ---------------------------------------------------------------------------
 
-def _whole_words(bits: int, flag: str) -> int:
+def _bits_to_words(bits: int, flag: str) -> int:
     """The number of 16-bit words in a bit count given on the command line."""
     if bits <= 0 or bits % 16:
         raise ValueError(f"{flag} must be a positive multiple of 16, got {bits}")
@@ -251,7 +249,7 @@ def cmd_analyze_avalanche(args: argparse.Namespace) -> int:
     key, iv = _key_iv(args)
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    message_octets = 2 * _whole_words(args.message_bits, "--message-bits")
+    message_octets = 2 * _bits_to_words(args.message_bits, "--message-bits")
     rng = random.Random(args.seed)
     distances = []
     for trial in range(args.trials):
@@ -280,7 +278,7 @@ def cmd_analyze_stats(args: argparse.Namespace) -> int:
     key = parse_hex(args.key, KEY_BYTES, "key")
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    nwords = _whole_words(args.bits, "--bits")
+    nwords = _bits_to_words(args.bits, "--bits")
     rng = random.Random(args.seed)
     cipher = Separ(key, _lfsr_from_env())
     for sample in range(args.samples):

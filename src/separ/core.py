@@ -211,14 +211,6 @@ def _whole_words(data, pad_zero: bool, odd_length: str):
     return data
 
 
-def _octets(words: Iterable[int]) -> bytes:
-    """Inverse of :func:`_words`."""
-    packed = array("H", words)
-    if sys.byteorder == "little":
-        packed.byteswap()
-    return packed.tobytes()
-
-
 def _keystream_length(nwords: int) -> int:
     """nwords, if it is a keystream length: not negative."""
     if nwords < 0:
@@ -419,7 +411,8 @@ class CipherState:
 
     Construction rejects a state no step can reach: other than eight
     words in [0, 2**16), or an LFSR outside (0, 2**16).  The word loops
-    check again on entry, because `states` is a list callers may change.
+    check again on entry (:meth:`_checked`), because `states` is a list
+    callers may change.
     """
 
     states: list[int]
@@ -427,11 +420,17 @@ class CipherState:
     t: int = 0
 
     def __post_init__(self) -> None:
+        self._checked()
+
+    def _checked(self) -> tuple[int, int, int, int, int, int, int, int, int]:
+        """s1..s8 and the LFSR, if they are a state some step can reach."""
         if len(self.states) != 8:
             raise ValueError(f"a state holds eight words, got {len(self.states)}")
         s1, s2, s3, s4, s5, s6, s7, s8 = self.states
-        if not self.lfsr or (s1 | s2 | s3 | s4 | s5 | s6 | s7 | s8 | self.lfsr) >> 16:
+        lfsr = self.lfsr
+        if not lfsr or (s1 | s2 | s3 | s4 | s5 | s6 | s7 | s8 | lfsr) >> 16:
             raise ValueError("state words must be 16-bit words and the LFSR a nonzero one")
+        return s1, s2, s3, s4, s5, s6, s7, s8, lfsr
 
     def copy(self) -> "CipherState":
         return CipherState(list(self.states), self.lfsr, self.t)
@@ -559,12 +558,7 @@ class Separ:
                        stages: Sequence) -> array:
         t1, t2, t3, t4, t5, t6, t7, t8 = stages
         nxt = self._lfsr_table
-        s1, s2, s3, s4, s5, s6, s7, s8 = st.states
-        lfsr = st.lfsr
-        if not lfsr:
-            raise ValueError("LFSR state must be nonzero")
-        if (s1 | s2 | s3 | s4 | s5 | s6 | s7 | s8 | lfsr) >> 16:
-            raise ValueError("state words and LFSR must be 16-bit words")
+        s1, s2, s3, s4, s5, s6, s7, s8, lfsr = st._checked()
         # The state words are held as s - 2**16, in [-2**16, 0), so every
         # index v + s lies in [-2**16, 2**16); `x | -0x10000` is
         # (x mod 2**16) - 2**16 for any int x.
@@ -606,12 +600,7 @@ class Separ:
                        stages: Sequence) -> array:
         d1, d2, d3, d4, d5, d6, d7, d8 = stages
         nxt = self._lfsr_table
-        s1, s2, s3, s4, s5, s6, s7, s8 = st.states
-        lfsr = st.lfsr
-        if not lfsr:
-            raise ValueError("LFSR state must be nonzero")
-        if (s1 | s2 | s3 | s4 | s5 | s6 | s7 | s8 | lfsr) >> 16:
-            raise ValueError("state words and LFSR must be 16-bit words")
+        s1, s2, s3, s4, s5, s6, s7, s8, lfsr = st._checked()
         out = array("H")
         append = out.append
         # Each stage value d[x] - s lies in (-2**16, 2**16) and indexes the
@@ -650,6 +639,12 @@ class Separ:
     # the tables (16.9 and 16.6 ms against 25.1 and 24.8 ms).  Those runs
     # had numpy loaded: the first table build in a process also pays the
     # numpy import (about 90 ms there), which nothing below it loads.
+    # The rule counts the words the message has already run, so a stream
+    # fed in small pieces takes the tables once its length so far reaches
+    # the threshold: by then it has spent on the stages about what one
+    # table build costs, so no message runs at more than about twice the
+    # cost of the better engine for its whole length.  Counted per call,
+    # a stream of small pieces would never switch.
     _BULK_THRESHOLD = 2048
 
     def encryptor(self, nonce: bytes | Sequence[int]) -> "Encryptor":
@@ -682,25 +677,27 @@ class Separ:
 
     def _message(self, st: CipherState, words: Iterable[int], nwords: int,
                  inverse: bool = False) -> bytes:
-        """The one message path, continuing from `st`: the word loop on the
-        key's tables from the threshold up or once they are built, else one
-        word step at a time."""
+        """The one message path, continuing from `st` with its next `nwords`
+        words: the word loop on the key's tables once the message's length
+        so far (`st.t` + `nwords`) reaches the threshold or they are built,
+        else one word step at a time; either way, big-endian octets out."""
         built = self._dec_tables if inverse else self._enc_tables
-        if nwords >= self._BULK_THRESHOLD or built is not None:
+        if st.t + nwords >= self._BULK_THRESHOLD or built is not None:
             loop = self._decrypt_words if inverse else self._encrypt_words
             out = loop(st, words, self._tables(inverse))
-            if sys.byteorder == "little":
-                out.byteswap()
-            return out.tobytes()
-        step = self.decrypt_word if inverse else self.encrypt_word
-        return _octets([step(st, w) for w in words])
+        else:
+            step = self.decrypt_word if inverse else self.encrypt_word
+            out = array("H", [step(st, w) for w in words])
+        if sys.byteorder == "little":
+            out.byteswap()
+        return out.tobytes()
 
 
 class _Stream:
     """One message in progress over one :class:`CipherState`.  Each
     :meth:`update` runs the whole words among the octets given so far, on
-    the engine :meth:`Separ._message` picks for that call's word count,
-    and carries an odd trailing octet into the next call."""
+    the engine :meth:`Separ._message` picks for the message's length so
+    far, and carries an odd trailing octet into the next call."""
 
     _inverse: bool
     _odd_length: str   # the OddLengthError text of an odd message

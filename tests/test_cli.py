@@ -546,6 +546,29 @@ def test_cli_streams_in_chunks(tmp_path, monkeypatch, rng):
     assert sum(sizes) == 2 * (len(data) + 1) // 2
 
 
+def test_cli_pieces_below_the_threshold_still_take_the_tables(tmp_path, monkeypatch, rng):
+    """The engine follows the message's length so far, not the size of
+    a piece: read in 1 KiB pieces, a 64 KiB file is encrypted and
+    decrypted on the key's tables, to the one-shot output."""
+    data = rng.randbytes(1 << 16)
+    expected = Separ(KEY).encrypt(IV, data)
+    built = []
+
+    def spy(self, inverse=False, tables=Separ._tables):
+        built.append(inverse)
+        return tables(self, inverse)
+    monkeypatch.setattr(Separ, "_tables", spy)
+    monkeypatch.setattr("separ.cli._CHUNK", 1024)
+    src, enc, dec = tmp_path / "pt", tmp_path / "ct", tmp_path / "rt"
+    src.write_bytes(data)
+    common = ["--key", KEY_HEX, "--iv", IV_HEX]
+    assert run(["encrypt", *common, "--in", str(src), "--out", str(enc)]) == EXIT_OK
+    assert run(["decrypt", *common, "--in", str(enc), "--out", str(dec)]) == EXIT_OK
+    assert enc.read_bytes() == expected
+    assert dec.read_bytes() == data
+    assert set(built) == {False, True}
+
+
 # The child reads its peak RSS as VmHWM: ru_maxrss would start from the
 # forking test process's own peak, which exec carries over on Linux.  It
 # imports numpy before its baseline: the first table build imports it,

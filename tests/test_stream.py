@@ -41,9 +41,9 @@ def test_any_split_equals_one_shot_and_oracle(key, nonce, length, seed, cuts):
 
 
 def test_stream_moves_from_stages_to_tables(rng):
-    """A stream's engine is chosen per update: a short first piece steps
-    word by word, a long one builds the key's tables, and every later
-    piece runs on them."""
+    """A stream's engine is chosen at each update, by its length so far:
+    a short first piece steps word by word, a long one builds the key's
+    tables, and every later piece runs on them."""
     key, nonce = rng.randbytes(32), rng.randbytes(16)
     data = rng.randbytes(THRESHOLD_OCTETS + 1000)
     cipher = Separ(key)
@@ -54,6 +54,26 @@ def test_stream_moves_from_stages_to_tables(rng):
     assert cipher._enc_tables is not None
     out += stream.update(data[-10:]) + stream.finalize()
     assert out == ref_encrypt_bytes(key, nonce, data)
+
+
+def test_small_pieces_take_the_tables_at_the_threshold(rng):
+    """A stream fed 1 KiB pieces of a 64 KiB message steps word by word
+    until its length so far reaches the threshold, and runs on the key's
+    tables from the piece that reaches it; either direction gives the
+    one-shot call's output and the oracle's."""
+    key, nonce = rng.randbytes(32), rng.randbytes(16)
+    data = rng.randbytes(1 << 16)
+    ct = ref_encrypt_bytes(key, nonce, data)
+    for direction, message, expected in (("encryptor", data, ct), ("decryptor", ct, data)):
+        cipher = Separ(key)
+        stream = getattr(cipher, direction)(nonce)
+        tables = "_dec_tables" if direction == "decryptor" else "_enc_tables"
+        out = b""
+        for end in range(1024, len(message) + 1, 1024):
+            out += stream.update(message[end - 1024:end])
+            assert (getattr(cipher, tables) is not None) == (end >= THRESHOLD_OCTETS)
+        assert out + stream.finalize() == expected
+        assert getattr(Separ(key), direction.removesuffix("or"))(nonce, message) == expected
 
 
 def test_odd_octet_is_carried_to_the_next_update(rng):
