@@ -1,12 +1,19 @@
 """Six of the SP 800-22 randomness tests: frequency (monobit), block
 frequency, runs, serial, approximate entropy, and cumulative sums.
 
-Inputs are bit sequences given either as raw octets (bits taken most
-significant first, matching the keystream export convention) or as a
-numpy array of 0/1 values.  Each test returns a :class:`StatReport`
-with its p-value and the pass verdict at significance 0.01; tests whose
-definition yields two p-values (serial, cumulative sums) report the
-smaller one, so "pass" means both passed.
+Inputs are bit sequences given either as raw octets, any bytes-like
+object but a numpy array (bits taken most significant first, matching
+the keystream export convention), or as a numpy array of 0/1 values.
+Each test returns a :class:`StatReport` with its p-value and the pass
+verdict at significance 0.01; tests whose definition yields two
+p-values (serial, cumulative sums) report the smaller one, so "pass"
+means both passed.
+
+Every test reads the sequence packed, eight bits to an octet, and takes
+_BLOCK octets at a time, so its working memory does not grow with the
+sample beyond what the test tallies (block frequency's per-block ones,
+the 2**m pattern counts): octets are read where they lie, and a 0/1
+array is packed once.
 
 The remaining suite tests (matrix rank, templates, universal, and so
 on) are deliberately not reimplemented here: export a raw keystream and
@@ -21,11 +28,18 @@ from itertools import accumulate
 
 import numpy as np
 
+from ..core import _octet_view
+
 # scipy.special is imported inside the tests that need it: at module level
 # it would be most of the import time and memory of the whole package.
 
 ALPHA = 0.01
 MIN_SUBSET_BITS = 100_000
+
+# Octets each test takes at a time (2**16 bits).  Per block the pattern
+# counts hold one 8-octet index per bit, 64 * _BLOCK octets (512 KiB);
+# the other tests a few times _BLOCK.
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -51,31 +65,110 @@ def _report(name: str, statistic: float, p: float, n: int) -> StatReport:
     return StatReport(name, float(statistic), p, p >= ALPHA, n)
 
 
+class _Sample:
+    """A bit sequence packed once: its n bits in `octets`, most
+    significant first, the last octet's unused bits zero.  `counts`
+    keeps the last pattern count taken on it, as (m, counts), so that
+    shorter counts are its marginals (see _counts)."""
+
+    __slots__ = ("octets", "n", "counts")
+
+    def __init__(self, octets: np.ndarray, n: int) -> None:
+        self.octets, self.n, self.counts = octets, n, None
+
+
+def _octets(data) -> np.ndarray | None:
+    """The octets of a bytes-like object other than a numpy array, read
+    in place; None for anything else."""
+    if isinstance(data, np.ndarray):
+        return None
+    try:
+        return np.frombuffer(_octet_view(data), dtype=np.uint8)
+    except TypeError:
+        return None
+
+
+def _bit_array(data) -> np.ndarray:
+    """A one-dimensional array of 0/1 values as uint8, its values checked
+    before the cast, which would wrap 256 to 0 and truncate 0.5 to 0."""
+    bits = np.asarray(data)
+    kind = bits.dtype.kind
+    if kind == "f":
+        binary = ((bits == 0) | (bits == 1)).all()
+    else:  # bools and integers, checked without a temporary array
+        binary = kind in "biu" and (bits.size == 0 or 0 <= bits.min() and bits.max() <= 1)
+    if bits.ndim != 1 or not binary:
+        raise ValueError("bit array must be one-dimensional 0/1 values")
+    return bits.astype(np.uint8, copy=False)
+
+
 def as_bits(data: bytes | np.ndarray) -> np.ndarray:
     """Normalize input to a uint8 array of 0/1, MSB-first for octets."""
-    if isinstance(data, (bytes, bytearray)):
-        return np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
-    bits = np.asarray(data, dtype=np.uint8)
-    if bits.ndim != 1 or (bits.size and bits.max() > 1):
-        raise ValueError("bit array must be one-dimensional 0/1 values")
-    return bits
+    octets = _octets(data)
+    return _bit_array(data) if octets is None else np.unpackbits(octets)
 
 
-def _require(bits: np.ndarray, minimum: int, name: str) -> int:
-    n = bits.size
+def _sample(data: bytes | np.ndarray | _Sample) -> _Sample:
+    if isinstance(data, _Sample):
+        return data
+    octets = _octets(data)
+    if octets is not None:
+        return _Sample(octets, 8 * octets.size)
+    bits = _bit_array(data)
+    return _Sample(np.packbits(bits), bits.size)
+
+
+def _require(sample: _Sample, minimum: int, name: str) -> int:
+    n = sample.n
     if n < minimum:
         raise ValueError(f"{name} needs at least {minimum} bits, got {n}")
     return n
 
 
+def _blocks(octets: np.ndarray):
+    for start in range(0, octets.size, _BLOCK):
+        yield octets[start:start + _BLOCK]
+
+
+# The ones of each octet value, and of its top r bits for r = 0..7.
+_POPCOUNT = np.array([v.bit_count() for v in range(256)], dtype=np.uint8)
+_HEAD_ONES = np.array([[(v >> (8 - r)).bit_count() for v in range(256)] for r in range(8)])
+
+
+def _ones(sample: _Sample) -> int:
+    """The ones of the sample; its unused bits are zero."""
+    return sum(int(_POPCOUNT[block].sum()) for block in _blocks(sample.octets))
+
+
 def monobit(data: bytes | np.ndarray) -> StatReport:
     """Frequency test: the +1/-1 balance of the whole sequence."""
     from scipy.special import erfc
-    bits = as_bits(data)
-    n = _require(bits, 100, "monobit")
-    s = abs(2 * int(bits.sum()) - n)
+    sample = _sample(data)
+    n = _require(sample, 100, "monobit")
+    s = abs(2 * _ones(sample) - n)
     s_obs = s / math.sqrt(n)
     return _report("monobit", s_obs, erfc(s_obs / math.sqrt(2)), n)
+
+
+def _ones_before(sample: _Sample, positions: np.ndarray) -> np.ndarray:
+    """The ones among the first p bits, for each p of the ascending
+    `positions` (0 <= p <= n): those of the whole octets before p,
+    summed a block at a time, and those of the top p % 8 bits of the
+    octet p falls in."""
+    octets = sample.octets
+    whole, part = np.divmod(positions, 8)
+    ones = np.empty(positions.size, dtype=np.int64)
+    prefix = np.zeros(_BLOCK + 1, dtype=np.int64)  # ones of block[:i]
+    done = first = 0
+    for start in range(0, octets.size, _BLOCK):
+        block = octets[start:start + _BLOCK]
+        np.cumsum(_POPCOUNT[block], dtype=np.int64, out=prefix[1:block.size + 1])
+        last = int(np.searchsorted(whole, start + block.size, side="right"))
+        ones[first:last] = done + prefix[whole[first:last] - start]
+        done += int(prefix[block.size])
+        first = last
+    ones += _HEAD_ONES[part, octets[np.minimum(whole, octets.size - 1)]]
+    return ones
 
 
 def block_frequency(data: bytes | np.ndarray, block_size: int | None = None) -> StatReport:
@@ -83,54 +176,101 @@ def block_frequency(data: bytes | np.ndarray, block_size: int | None = None) -> 
 
     The default block size is n//100 + 1 (at least 20), which keeps the
     block count just under 100 as the test's reference parameters ask.
+    Each block's ones are the difference of the ones before its two
+    edges.
     """
     from scipy.special import gammaincc
-    bits = as_bits(data)
-    n = _require(bits, 100, "block_frequency")
+    sample = _sample(data)
+    n = _require(sample, 100, "block_frequency")
     m = block_size if block_size is not None else max(20, n // 100 + 1)
     nblocks = n // m
     if nblocks < 1:
         raise ValueError("block size exceeds sequence length")
-    pi = bits[: nblocks * m].reshape(nblocks, m).mean(axis=1)
+    pi = np.diff(_ones_before(sample, np.arange(nblocks + 1, dtype=np.int64) * m)) / m
     chi2 = 4.0 * m * float(((pi - 0.5) ** 2).sum())
     return _report("block_frequency", chi2, gammaincc(nblocks / 2, chi2 / 2), n)
+
+
+def _transitions(sample: _Sample) -> int:
+    """The bits that differ from the bit before them.
+
+    In each octet o, o ^ (o >> 1) marks bits 6..0 that differ from the
+    bit above them, and bit 7 is compared with the last bit of the octet
+    before, shifted up.  The first bit is compared with itself.  When
+    n % 8 != 0 a last bit of 1 differs from the zero after it, which is
+    not a bit of the sample, and that transition is taken off.
+    """
+    octets = sample.octets
+    count = 0
+    before = octets[:1] >> 7
+    for block in _blocks(octets):
+        previous = np.concatenate((before, block[:-1]))
+        count += int(_POPCOUNT[block ^ (block >> 1) ^ (previous << 7)].sum())
+        before = block[-1:]
+    r = sample.n % 8
+    if r:
+        count -= int(octets[-1]) >> (8 - r) & 1
+    return count
 
 
 def runs(data: bytes | np.ndarray) -> StatReport:
     """Total number of runs of identical bits."""
     from scipy.special import erfc
-    bits = as_bits(data)
-    n = _require(bits, 100, "runs")
-    pi = float(bits.mean())
+    sample = _sample(data)
+    n = _require(sample, 100, "runs")
+    pi = _ones(sample) / n
     if abs(pi - 0.5) >= 2 / math.sqrt(n):
         # prerequisite monobit failure: the runs statistic is meaningless
         return _report("runs", 0.0, 0.0, n)
-    v_obs = 1 + int(np.count_nonzero(np.diff(bits)))
+    v_obs = 1 + _transitions(sample)
     num = abs(v_obs - 2 * n * pi * (1 - pi))
     den = 2 * math.sqrt(2 * n) * pi * (1 - pi)
     return _report("runs", v_obs, erfc(num / den), n)
 
 
-def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
+def _pattern_counts(data: bytes | np.ndarray | _Sample, m: int) -> np.ndarray:
     """Counts of every overlapping m-bit pattern, with wraparound, for
-    1 <= m <= 57 and m <= bits.size.
+    1 <= m <= 57 and m <= n.
 
-    The wrapped sequence is packed into octets, and each octet starts one
-    big-endian 64-bit window; the pattern at bit 8i + r is then bits
-    r..r+m-1 of window i, so eight shifts cover every start.
+    Each octet of the wrapped sequence (the n bits, then their first
+    m - 1 again) starts one big-endian 64-bit window; the pattern at bit
+    8j + r is then bits r..r+m-1 of window j, so eight shifts cover every
+    start.  The windows are taken _BLOCK octets at a time, each block
+    reading the 8 octets after it.  Past the whole octets the wrapped
+    sequence is its last n % 8 bits and the m - 1 wrap bits, carried to
+    the last blocks in a few octets of their own.
     """
-    n = bits.size
-    packed = np.packbits(np.concatenate([bits, bits[: m - 1]]))
-    octets = np.zeros(packed.size + 7, dtype=np.uint64)
-    octets[: packed.size] = packed
-    win = np.zeros(packed.size, dtype=np.uint64)
-    for k in range(8):
-        win |= octets[k: k + packed.size] << np.uint64(56 - 8 * k)
+    sample = _sample(data)
+    n, octets = sample.n, sample.octets
+    whole, r = divmod(n, 8)
+    first = int.from_bytes(octets[:8].tobytes().ljust(8, b"\0"), "big")
+    end = (int(octets[whole]) >> (8 - r) if r else 0) << (m - 1) | first >> (65 - m)
+    size = r + m - 1
+    end = (end << (-size % 8)).to_bytes(-(-size // 8), "big")
     mask = np.uint64((1 << m) - 1)
     counts = np.zeros(1 << m, dtype=np.int64)
-    for r in range(8):
-        starts = win[: (n - r + 7) // 8]
-        counts += np.bincount((starts >> np.uint64(64 - m - r)) & mask, minlength=1 << m)
+    index = np.empty(8 * _BLOCK, dtype=np.uint64)
+    starts = -(-n // 8)  # octets that hold a start
+    for s in range(0, starts, _BLOCK):
+        rows = -(-min(_BLOCK, starts - s) // 8)
+        stop = s + 8 * rows + 8
+        chunk = octets[s:min(stop, whole)].tobytes()
+        if stop > whole:
+            chunk += end
+        chunk = chunk.ljust(8 * rows + 8, b"\0")
+        windows = np.empty((rows, 8), dtype=np.uint64)
+        for k in range(8):
+            windows[:, k] = np.frombuffer(chunk, ">u8", count=rows, offset=k)
+        windows = windows.reshape(-1)
+        used = 0
+        for shift in range(8):
+            count = min(_BLOCK, (n - shift + 7) // 8 - s)  # starts 8(s + j) + shift below n
+            np.right_shift(windows[:count], np.uint64(64 - m - shift),
+                           out=index[used:used + count])
+            used += count
+        picked = index[:used]
+        picked &= mask
+        counts += np.bincount(picked.view(np.int64), minlength=1 << m)
     return counts
 
 
@@ -139,6 +279,17 @@ def _marginal(counts: np.ndarray) -> np.ndarray:
     (m-1)-bit window is the prefix of exactly one m-bit window, so the
     two counts of a pattern followed by 0 and by 1 add up exactly."""
     return counts.reshape(-1, 2).sum(axis=1)
+
+
+def _counts(sample: _Sample, m: int) -> np.ndarray:
+    """The m-bit pattern counts: marginals of the count kept on the
+    sample when it was taken at m or above, else a new count, kept."""
+    if sample.counts is None or sample.counts[0] < m:
+        sample.counts = (m, _pattern_counts(sample, m))
+    kept, counts = sample.counts
+    for _ in range(kept - m):
+        counts = _marginal(counts)
+    return counts
 
 
 def _psi_sq(counts: np.ndarray, n: int) -> float:
@@ -154,13 +305,13 @@ def serial(data: bytes | np.ndarray, m: int | None = None) -> StatReport:
     m < log2(n) - 2, capped at 16.
     """
     from scipy.special import gammaincc
-    bits = as_bits(data)
-    n = _require(bits, 1000, "serial")
+    sample = _sample(data)
+    n = _require(sample, 1000, "serial")
     if m is None:
         m = min(16, int(math.log2(n)) - 3)
     if not 2 <= m < math.log2(n) - 2:
         raise ValueError(f"serial block length m={m} invalid for n={n}")
-    c_m = _pattern_counts(bits, m)
+    c_m = _counts(sample, m)
     c_m1 = _marginal(c_m)
     psi_m = _psi_sq(c_m, n)
     psi_m1 = _psi_sq(c_m1, n)
@@ -175,8 +326,8 @@ def serial(data: bytes | np.ndarray, m: int | None = None) -> StatReport:
 def approximate_entropy(data: bytes | np.ndarray, m: int | None = None) -> StatReport:
     """Compares overlapping m and m+1 pattern frequencies."""
     from scipy.special import gammaincc
-    bits = as_bits(data)
-    n = _require(bits, 1000, "approximate_entropy")
+    sample = _sample(data)
+    n = _require(sample, 1000, "approximate_entropy")
     if m is None:
         m = min(10, int(math.log2(n)) - 6)
     if not 1 <= m < math.log2(n) - 5:
@@ -187,7 +338,7 @@ def approximate_entropy(data: bytes | np.ndarray, m: int | None = None) -> StatR
         pi = c[c > 0] / n
         return float((pi * np.log(pi)).sum())
 
-    counts = _pattern_counts(bits, m + 1)
+    counts = _counts(sample, m + 1)
     apen = phi(_marginal(counts)) - phi(counts)
     chi2 = 2.0 * n * (math.log(2) - apen)
     return _report("approximate_entropy", chi2, gammaincc(2 ** (m - 1), chi2 / 2), n)
@@ -220,23 +371,25 @@ def cumulative_sums(data: bytes | np.ndarray) -> StatReport:
     """Maximum excursion of the +1/-1 random walk, forward and backward;
     reports the smaller of the two p-values.
 
-    The walk is taken an octet at a time: one cumsum of the octets' net
-    steps gives the walk at octet boundaries, and the octet tables give
-    its extremes within each octet.  The last n % 8 bits are stepped one
-    by one.
+    The walk is taken an octet at a time: a cumsum of the octets' net
+    steps, _BLOCK octets at a time from where the last block ended,
+    gives the walk at octet boundaries, and the octet tables give its
+    extremes within each octet.  The last n % 8 bits are stepped one by
+    one.
     """
-    bits = as_bits(data)
-    n = _require(bits, 100, "cumulative_sums")
-    whole = n - n % 8
-    octets = np.packbits(bits[:whole])
-    net = _OCTET_NET[octets]
-    ends = np.cumsum(net)
-    starts = ends - net
-    hi = int((starts + _OCTET_MAX[octets]).max())
-    lo = int((starts + _OCTET_MIN[octets]).min())
-    s = int(ends[-1])
-    for bit in bits[whole:].tolist():
-        s += 2 * bit - 1
+    sample = _sample(data)
+    n = _require(sample, 100, "cumulative_sums")
+    s, hi, lo = 0, -n, n
+    for octets in _blocks(sample.octets[:n // 8]):
+        net = _OCTET_NET[octets]
+        ends = np.cumsum(net)
+        ends += s
+        starts = ends - net
+        hi = max(hi, int((starts + _OCTET_MAX[octets]).max()))
+        lo = min(lo, int((starts + _OCTET_MIN[octets]).min()))
+        s = int(ends[-1])
+    for k in range(n % 8):
+        s += 2 * (int(sample.octets[-1]) >> (7 - k) & 1) - 1
         hi, lo = max(hi, s), min(lo, s)
     # hi and lo are the extremes of S_j for 1 <= j <= n.  The backward
     # walk's partial sums are S_n - S_j for 0 <= j < n, with S_0 = 0; the
@@ -250,14 +403,23 @@ def cumulative_sums(data: bytes | np.ndarray) -> StatReport:
 
 
 def nist_subset(data: bytes | np.ndarray) -> list[StatReport]:
-    """Run all six implemented tests on one sample of at least 10**5 bits."""
-    bits = as_bits(data)
-    _require(bits, MIN_SUBSET_BITS, "nist_subset")
+    """Run all six implemented tests on one sample of at least 10**5 bits.
+
+    The sample is packed once (octets are read where they lie) and each
+    test is still called on its own.  Serial takes its pattern count
+    on the sample and keeps it; approximate entropy's two counts are its
+    marginals.  Working memory is that count (8 * 2**m octets at serial's
+    m, 512 KiB from 2**19 bits up) and a few times _BLOCK octets for the
+    block being read, under 2 MiB whatever the sample's length, plus
+    n / 8 octets to pack a 0/1 array.
+    """
+    sample = _sample(data)
+    _require(sample, MIN_SUBSET_BITS, "nist_subset")
     return [
-        monobit(bits),
-        block_frequency(bits),
-        runs(bits),
-        serial(bits),
-        approximate_entropy(bits),
-        cumulative_sums(bits),
+        monobit(sample),
+        block_frequency(sample),
+        runs(sample),
+        serial(sample),
+        approximate_entropy(sample),
+        cumulative_sums(sample),
     ]

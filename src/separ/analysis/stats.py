@@ -244,16 +244,63 @@ def _gap_blocks(windows: np.ndarray):
         yield later ^ windows[i:i + later.size], later
 
 
+def _sorted_repeat(windows: np.ndarray, width: int) -> tuple[int, list[int]]:
+    """The longest common prefix, in octets, of two of the sorted
+    windows of `width` octets, and the strings of that length that the
+    neighbours in sorted order share, as big-endian ints; (width, []) if
+    two windows are equal.
+
+    The longest common prefix of any two windows is reached by two
+    neighbours in sorted order, and it is the number of leading zero
+    octets of their XOR (Manber and Myers, "Suffix arrays", SODA 1990).
+    """
+    if windows.size < 2:
+        return 0, []
+    closest = min(int(gaps.min()) for gaps, _ in _gap_blocks(windows))
+    if closest == 0:
+        return width, []
+    longest = (8 * width - closest.bit_length()) // 8
+    repeated = []
+    if longest:
+        bits = 8 * (width - longest)
+        shift = windows.dtype.type(bits)
+        limit = windows.dtype.type(1 << bits)  # below it, the first `longest` octets agree
+        for gaps, later in _gap_blocks(windows):
+            repeated += (later[gaps < limit] >> shift).tolist()
+    return longest, repeated
+
+
+def _windows_starting(data: bytes, strings: np.ndarray) -> np.ndarray:
+    """The 8-octet windows, as big-endian uint64, whose first 4 octets
+    are one of `strings` (big-endian uint32), sorted.  A 2**16-entry
+    sieve on their first 2 octets passes few windows on to np.isin."""
+    sieve = np.zeros(1 << 16, dtype=bool)
+    sieve[strings >> np.uint32(16)] = True
+    n = len(data)
+    found = []
+    for k in range(8):
+        view = np.frombuffer(data, ">u8", count=(n - k) // 8, offset=k)
+        for start in range(0, view.size, _BLOCK):
+            windows = view[start:start + _BLOCK]
+            windows = windows[sieve[windows >> np.uint64(48)]]
+            found.append(windows[np.isin(windows >> np.uint64(32), strings)])
+    found = np.concatenate(found, dtype=np.uint64)
+    found.sort()
+    return found
+
+
 def _short_repeat(data: bytes) -> tuple[int, tuple[int, int] | None]:
     """The longest repeat and its witness if the repeat is shorter than
     8 octets, else (8, None).
 
-    Every window of 8 octets, read as a big-endian uint64, is sorted
-    once.  The longest common prefix of any two windows is reached by
-    two neighbours in sorted order, and it is the number of leading zero
-    octets of their XOR (Manber and Myers, "Suffix arrays", SODA 1990).
-    The windows that start in the last 7 octets are shorter than 8; each
-    is extended with bytes.find while it still occurs elsewhere.
+    Every window of 4 octets, read as a big-endian uint32, is sorted
+    once (_sorted_repeat).  If no two are equal, that gives the repeat,
+    under 4 octets, and its strings.  Otherwise only the 8-octet windows
+    whose first 4 octets repeat are gathered and sorted: two windows
+    that share 4 octets or more share those, so among them the longest
+    repeat from 4 up to 8 octets is found the same way.  The windows
+    that start in the last 7 octets are shorter than 8; each is extended
+    with bytes.find while it still occurs elsewhere.
 
     The witness is the first two copies of the repeated L-octet string
     with the least hash; of strings that tie on it, the one whose second
@@ -261,26 +308,27 @@ def _short_repeat(data: bytes) -> tuple[int, tuple[int, int] | None]:
     prefixes of equal sorted neighbours, and the strings at the last 7
     offsets that occur twice.
 
-    Working memory is the 8n octets of sorted windows, which the sort
-    needs, and 9 * _BLOCK octets (576 KiB) for one block of their gaps.
+    Working memory is the 4n octets of sorted 4-octet windows, which the
+    sort needs, and 5 * _BLOCK octets (320 KiB) for one block of their
+    gaps; then 8 octets for each start of a repeated 4-octet string, and
+    one block of 8-octet windows at a time (512 KiB) to find them.
     """
     n = len(data)
     longest = 0
     repeated = []  # repeated strings of the length found, as big-endian ints
     if n > 8:
         windows = np.concatenate(
-            [np.frombuffer(data, ">u8", count=(n - k) // 8, offset=k) for k in range(8)],
-            dtype=np.uint64)
+            [np.frombuffer(data, ">u4", count=(n - k) // 4, offset=k) for k in range(4)],
+            dtype=np.uint32)
         windows.sort()
-        closest = min(int(gaps.min()) for gaps, _ in _gap_blocks(windows))
-        if closest == 0:
-            return 8, None
-        longest = (64 - closest.bit_length()) // 8
-        if longest:
-            shift = 64 - 8 * longest
-            limit = np.uint64(1 << shift)  # below it, the first `longest` octets agree
-            for gaps, later in _gap_blocks(windows):
-                repeated += (later[gaps < limit] >> np.uint64(shift)).tolist()
+        longest, repeated = _sorted_repeat(windows, 4)
+        if longest == 4:
+            strings = np.unique(np.concatenate(
+                [later[gaps == 0] for gaps, later in _gap_blocks(windows)]))
+            del windows
+            longest, repeated = _sorted_repeat(_windows_starting(data, strings), 8)
+            if longest == 8:
+                return 8, None
     for j in range(max(n - 7, 0), n):
         for length in range(longest + 1, n - j + 1):
             sub = data[j:j + length]
@@ -372,10 +420,13 @@ def periodicity(data: bytes, min_len: int = 2) -> PeriodicityReport:
     """Scan for global block repetition and the longest repeated
     substring.
 
-    One sort of every 8-octet window gives the longest repeat, and its
-    witness, when it is shorter than 8 octets.  Only when two full
-    windows are equal does prefix doubling of ranks take over, in time
-    O(n log^2 n) and about 30n octets of working memory.
+    One sort of every 4-octet window gives the longest repeat, and its
+    witness, when it is shorter than 4 octets; from 4 to 7 octets, one
+    more sort of the 8-octet windows that start with a repeated 4-octet
+    string gives them.  Working memory is then about 4n octets (see
+    _short_repeat).  Only when two full 8-octet windows are equal does
+    prefix doubling of ranks take over, in time O(n log^2 n) and about
+    30n octets of working memory.
     """
     if min_len < 2:
         raise ValueError("min_len must be at least 2")

@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -18,7 +19,17 @@ from separ.analysis import (
     runs,
     serial,
 )
-from separ.analysis.nist import _cusum_p, _marginal, _pattern_counts, as_bits
+from separ.analysis import nist
+from separ.analysis.nist import (
+    MIN_SUBSET_BITS,
+    _BLOCK,
+    _counts,
+    _cusum_p,
+    _marginal,
+    _pattern_counts,
+    _sample,
+    as_bits,
+)
 from separ.core import Separ
 
 
@@ -37,14 +48,45 @@ def test_as_bits_rejects_non_binary():
         as_bits(np.array([0, 1, 2]))
 
 
+# The values are checked before the cast to uint8, which would read 256
+# as 0 and 0.5 as 0.
 @pytest.mark.parametrize("bad", [
     np.array([0, 1] * 100 + [2], dtype=np.uint8),
     np.array([1, 255, 0], dtype=np.uint8),
     np.zeros((2, 8), dtype=np.uint8),
-], ids=["two", "255", "2-d"])
+    np.array([0, 1, 256]),
+    np.array([0.0, 0.5, 1.0]),
+    np.array([1, -1]),
+    np.array(["0", "1"]),
+], ids=["two", "255", "2-d", "256", "half", "minus-one", "strings"])
 def test_as_bits_rejects_non_bits_and_shapes(bad):
     with pytest.raises(ValueError, match="one-dimensional 0/1"):
         as_bits(bad)
+    with pytest.raises(ValueError, match="one-dimensional 0/1"):
+        monobit(bad)
+
+
+@pytest.mark.parametrize("bits", [
+    [1, 0, 1, 1],
+    np.array([1, 0, 1, 1], dtype=np.int64),
+    np.array([1.0, 0.0, 1.0, 1.0]),
+    np.array([True, False, True, True]),
+], ids=["list", "int64", "float", "bool"])
+def test_as_bits_takes_zeros_and_ones_of_any_numeric_type(bits):
+    out = as_bits(bits)
+    assert out.dtype == np.uint8 and out.tolist() == [1, 0, 1, 1]
+
+
+# Any bytes-like object but a numpy array is read as octets, as the
+# cipher reads keys and nonces.
+@pytest.mark.parametrize("octets", [
+    bytearray(b"\x80\x01"),
+    memoryview(b"\x80\x01"),
+    memoryview(b"\x00\x80\x01")[1:],
+    array("B", [0x80, 0x01]),
+], ids=["bytearray", "memoryview", "memoryview-slice", "array-B"])
+def test_as_bits_reads_bytes_like_objects_as_octets(octets):
+    assert as_bits(octets).tolist() == [1] + [0] * 14 + [1]
 
 
 def test_empty_bits_reach_the_length_guard():
@@ -80,6 +122,58 @@ def test_pattern_counts_match_brute_force(data):
         counts = _marginal(counts)
         assert np.array_equal(counts, brute_pattern_counts(bits, k))
     assert _marginal(counts).tolist() == [bits.size]
+
+
+def wrapped_pattern_counts(bits, m):
+    """Each m-bit window of the cyclic sequence as an integer, all at once."""
+    wrapped = np.concatenate([bits, bits[: m - 1]]).astype(np.int64)
+    values = np.zeros(bits.size, dtype=np.int64)
+    for k in range(m):
+        values = values << 1 | wrapped[k: k + bits.size]
+    return np.bincount(values, minlength=1 << m)
+
+
+# The counts run _BLOCK octets at a time, and the last blocks read the
+# n % 8 tail bits and the m - 1 wrap bits: lengths on either side of one
+# and two blocks, with every kind of tail.
+@pytest.mark.parametrize("n", [8 * _BLOCK - 1, 8 * _BLOCK, 8 * _BLOCK + 1, 8 * _BLOCK + 7,
+                               16 * _BLOCK + 60, 16 * _BLOCK + 67])
+@pytest.mark.parametrize("m", [1, 2, 9, 16])
+def test_pattern_counts_across_blocks(n, m):
+    bits = random_bits(n, seed=n + m)
+    assert np.array_equal(_pattern_counts(bits, m), wrapped_pattern_counts(bits, m))
+
+
+def sample_bits(n, seed, p):
+    return (np.random.default_rng(seed).random(n) < p).astype(np.uint8)
+
+
+# Serial keeps its count on the sample; every shorter count, approximate
+# entropy's m + 1 and m among them, is a marginal of it.
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1000, 20 * _BLOCK), seed=st.integers(0, 2 ** 32 - 1),
+       p=st.sampled_from([0.5, 0.45, 0.1]))
+def test_shorter_counts_are_marginals_of_serials(n, seed, p):
+    bits = sample_bits(n, seed, p)
+    sample = _sample(bits)
+    serial(sample)
+    m = min(16, int(math.log2(n)) - 3)
+    assert sample.counts[0] == m
+    for k in range(1, m + 1):
+        assert np.array_equal(_counts(sample, k), _pattern_counts(bits, k))
+    assert sample.counts[0] == m  # the shorter counts did not replace it
+
+
+def test_nist_subset_takes_one_pattern_count(monkeypatch):
+    taken = []
+
+    def counted(data, m):
+        taken.append(m)
+        return _pattern_counts(data, m)
+
+    monkeypatch.setattr(nist, "_pattern_counts", counted)
+    nist_subset(random_bits(10 ** 6, seed=6))
+    assert taken == [16]
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +268,12 @@ def walk_excursion(steps):
     *((np.random.default_rng(n).random(n) < 0.45).astype(np.uint8) for n in range(5001, 5008)),
     np.ones(1003, dtype=np.uint8),
     np.zeros(1005, dtype=np.uint8),
+    random_bits(16 * _BLOCK + 5, seed=24),
+    (np.random.default_rng(25).random(16 * _BLOCK + 3) < 0.501).astype(np.uint8),
 ], ids=["random", "biased-0.3", "biased-0.55", "down-then-up",
         *(f"random-{n}" for n in range(100, 108)),
         *(f"biased-0.45-{n}" for n in range(5001, 5008)),
-        "all-ones", "all-zeros"])
+        "all-ones", "all-zeros", "random-two-blocks", "biased-two-blocks"])
 def test_cumulative_sums_matches_reversed_walk(bits):
     steps = [2 * int(b) - 1 for b in bits]
     z_fwd = walk_excursion(steps)
@@ -186,6 +282,21 @@ def test_cumulative_sums_matches_reversed_walk(bits):
     rep = cumulative_sums(bits)
     assert rep.statistic == max(z_fwd, z_bwd)
     assert rep.p_value == min(max(float(p), 0.0), 1.0)
+
+
+# Block ones come from the ones before the block edges, and runs from
+# the bits that differ from the bit before them, both read from packed
+# octets a block at a time: check them against their definitions on the
+# unpacked bits, on lengths that cross blocks and leave a tail.
+@pytest.mark.parametrize("n", [8 * _BLOCK - 1, 8 * _BLOCK + 1, 16 * _BLOCK + 7, 100_003])
+@pytest.mark.parametrize("block_size", [None, 7, 20, 8 * _BLOCK - 5])
+def test_block_frequency_and_runs_match_their_definitions(n, block_size):
+    bits = random_bits(n, seed=n)
+    m = block_size or max(20, n // 100 + 1)
+    pi = bits[: n // m * m].reshape(-1, m).mean(axis=1)
+    assert block_frequency(bits, block_size).statistic == 4.0 * m * float(((pi - 0.5) ** 2).sum())
+    assert runs(bits).statistic == 1 + np.count_nonzero(np.diff(bits))
+    assert monobit(bits).statistic == abs(2 * int(bits.sum()) - n) / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +339,25 @@ def test_nist_subset_pinned_keystream_sample():
     ]
 
 
+# nist_subset packs its sample once and shares serial's count with
+# approximate entropy; each test on its own must give the same reports.
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(MIN_SUBSET_BITS, MIN_SUBSET_BITS + 40_000), seed=st.integers(0, 2 ** 32 - 1),
+       p=st.sampled_from([0.5, 0.497, 0.45]))
+def test_nist_subset_equals_the_six_tests_one_by_one(n, seed, p):
+    bits = sample_bits(n, seed, p)
+    assert nist_subset(bits) == [monobit(bits), block_frequency(bits), runs(bits),
+                                 serial(bits), approximate_entropy(bits), cumulative_sums(bits)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(size=st.integers(MIN_SUBSET_BITS // 8, MIN_SUBSET_BITS // 8 + 5000),
+       seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([0.5, 0.497, 0.45]))
+def test_nist_subset_of_octets_equals_nist_subset_of_their_bits(size, seed, p):
+    data = np.packbits(sample_bits(8 * size, seed, p)).tobytes()
+    assert nist_subset(data) == nist_subset(as_bits(data))
+
+
 def test_nist_subset_length_guard():
     with pytest.raises(ValueError):
         nist_subset(random_bits(50_000))
@@ -256,3 +386,6 @@ def test_accepts_octet_input():
     data = rng.randbytes(25_000)
     rep = monobit(data)
     assert rep.n_bits == 200_000
+    expected = nist_subset(data)
+    for octets in (bytearray(data), memoryview(data), array("B", data)):
+        assert nist_subset(octets) == expected

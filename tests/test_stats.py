@@ -15,6 +15,7 @@ from separ.analysis import (
     avalanche,
     entropy,
     histogram,
+    nist_subset,
     periodicity,
 )
 from separ.analysis import stats
@@ -341,9 +342,11 @@ def test_periodicity_repeat_split_by_a_hash_collision(n):
     assert data[i:i + n] == data[j:j + n]
 
 
-# The longest repeat shorter than 8 octets comes from one sort of the
-# 8-octet windows, plus a bytes.find check of the windows that start in
-# the last 7 octets; prefix doubling runs only from 8 octets up.
+# The longest repeat shorter than 4 octets comes from one sort of the
+# 4-octet windows; one from 4 to 7 octets from a sort of the 8-octet
+# windows that start with a repeated 4-octet string; both plus a
+# bytes.find check of the windows that start in the last 7 octets.
+# Prefix doubling runs only from 8 octets up.
 
 def string_hash(s):
     h = 0
@@ -391,6 +394,60 @@ def test_periodicity_repeat_ending_in_last_seven_octets(length, tail):
     rep = check_against_brute_force(data)
     assert rep == PeriodicityReport(None, length, (0, length + 40))
     assert rep.witness == reference_witness(data, length)
+
+
+# 4-octet windows start at every offset up to n - 4, 8-octet ones only
+# up to n - 8: a second copy that starts at n - 7 .. n - 4 is in the
+# first sort alone, and one that starts later in neither.
+@pytest.mark.parametrize("length, back", [(length, back) for length in (3, 4, 5)
+                                          for back in range(length, 8)])
+def test_periodicity_repeat_starting_in_last_seven_octets(length, back):
+    data = planted(length, 40, back - length)
+    assert len(data) - back == length + 40  # the second copy starts there
+    rep = check_against_brute_force(data)
+    assert rep == PeriodicityReport(None, length, (0, length + 40))
+    assert rep.witness == reference_witness(data, length)
+
+
+def de_bruijn(k, order):
+    """The linear de Bruijn sequence over k octet values: every string of
+    `order` octets occurs exactly once, and every shorter one repeats."""
+    a, seq = [0] * (k * order), []
+
+    def db(t, p):
+        if t > order:
+            if order % p == 0:
+                seq.extend(a[1:p + 1])
+        else:
+            a[t] = a[t - p]
+            db(t + 1, p)
+            for j in range(a[t - p] + 1, k):
+                a[t] = j
+                db(t + 1, t)
+
+    db(1, 1)
+    return bytes(seq + seq[:order - 1])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("cut", [0, 1, 2, 3, 5, 8])
+def test_periodicity_without_a_four_octet_repeat(k, cut):
+    # No two 4-octet windows are equal, so the first sort gives the
+    # answer; cutting octets off either end keeps it so.
+    full = de_bruijn(k, 4)
+    for data in (full[:len(full) - cut], full[cut:]):
+        assert reference_witness(data, 4) is None
+        rep = check_against_brute_force(data)
+        assert rep.longest_repeat == 3
+        assert rep.witness == reference_witness(data, 3)
+
+
+@pytest.mark.parametrize("size", [64, 256])
+def test_periodicity_random_without_a_four_octet_repeat(size):
+    data = np.random.default_rng(size).integers(0, size, 3000, dtype=np.uint8).tobytes()
+    assert reference_witness(data, 4) is None
+    rep = check_against_reference(data)
+    assert 0 < rep.longest_repeat < 4
 
 
 @pytest.mark.parametrize("length", [7, 8, 9])
@@ -551,14 +608,17 @@ def traced_peak(kernel, *args):
 
 
 # At 8 MiB entropy and autocorrelation keep the bounds they have at
-# 4 MiB; periodicity keeps the 8n octets of windows its sort needs.
-@pytest.mark.parametrize("mib", [4, 8])
+# 1 MiB; periodicity keeps the 4n octets of windows its sort needs, and
+# nist_subset reads its sample in place, a block at a time.
+@pytest.mark.parametrize("mib", [1, 4, 8])
 def test_kernels_work_in_bounded_memory(mib):
     n = mib << 20
     data = np.random.default_rng(mib).integers(0, 256, n, dtype=np.uint8).tobytes()
     assert traced_peak(entropy, data) < 1 << 20
     assert traced_peak(autocorrelation, data, 1024) < 8 << 20
-    assert traced_peak(periodicity, data) < 8 * n + (4 << 20)
+    assert traced_peak(periodicity, data) < 5 * n + (4 << 20)
+    nist_subset(data[:1 << 14])  # loads scipy.special outside the trace
+    assert traced_peak(nist_subset, data) < n + (3 << 20)
 
 
 def test_periodicity_long_path_works_in_bounded_memory():
