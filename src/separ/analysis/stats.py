@@ -270,37 +270,135 @@ def _sorted_repeat(windows: np.ndarray, width: int) -> tuple[int, list[int]]:
     return longest, repeated
 
 
-def _windows_starting(data: bytes, strings: np.ndarray) -> np.ndarray:
-    """The 8-octet windows, as big-endian uint64, whose first 4 octets
-    are one of `strings` (big-endian uint32), sorted.  A 2**16-entry
-    sieve on their first 2 octets passes few windows on to np.isin."""
-    sieve = np.zeros(1 << 16, dtype=bool)
-    sieve[strings >> np.uint32(16)] = True
+def _sorted_windows(data: bytes, width: int) -> np.ndarray:
+    """Every window of `width` (4 or 8) octets, read as a big-endian
+    uint, sorted: `width` octets for each offset."""
     n = len(data)
-    found = []
+    windows = np.concatenate(
+        [np.frombuffer(data, f">u{width}", count=(n - k) // width, offset=k)
+         for k in range(width)], dtype=f"u{width}")
+    windows.sort()
+    return windows
+
+
+def _repeated_strings(windows: np.ndarray, n: int) -> np.ndarray | None:
+    """The 4-octet strings that two of the sorted `windows` share, sorted;
+    None if more than n / 64 windows repeat one before them."""
+    chunks, repeats = [], 0
+    for gaps, later in _gap_blocks(windows):
+        chunks.append(later[gaps == 0])
+        repeats += chunks[-1].size
+        if repeats > n // 64:
+            return None
+    return np.unique(np.concatenate(chunks))
+
+
+# Knuth's multiplicative hash (mod 2**32) of a 4-octet string picks its
+# flag in _windows_passing's sieve: strings that share leading octets,
+# as text or base64 strings do, spread over all the flags.
+_SIEVE_HASH = np.uint32(0x9E3779B1)
+
+
+def _windows_passing(data: bytes, strings: np.ndarray) -> np.ndarray | None:
+    """The 8-octet windows, as big-endian uint64, that pass a sieve of
+    the 4-octet `strings` (big-endian uint32), sorted; None if more
+    than n / 8 do.
+
+    The sieve has 16 or more flags per string, one set at the hash of
+    each, and a window passes if the flag at the hash of its first 4
+    octets is set.  So every window that starts with one of `strings`
+    passes, and, where the hashes spread evenly, under one in 16 of the
+    others; those only add pairs of windows that share fewer octets.  The first 4 octets are read as
+    the low half of a little-endian uint64, and the strings hashed the
+    same way.  Working memory is the sieve, n octets for n / 8 windows,
+    and one block of _BLOCK windows at a time.
+    """
+    n = len(data)
+    bits = min(32, max(16, (16 * strings.size).bit_length()))
+    shift = np.uint32(32 - bits)
+    sieve = np.zeros(1 << bits, dtype=bool)
+    sieve[(strings.byteswap() * _SIEVE_HASH) >> shift] = True
+    found = np.empty(n // 8, dtype=np.uint64)
+    end = 0
     for k in range(8):
-        view = np.frombuffer(data, ">u8", count=(n - k) // 8, offset=k)
-        for start in range(0, view.size, _BLOCK):
-            windows = view[start:start + _BLOCK]
-            windows = windows[sieve[windows >> np.uint64(48)]]
-            found.append(windows[np.isin(windows >> np.uint64(32), strings)])
-    found = np.concatenate(found, dtype=np.uint64)
+        count = (n - k) // 8
+        windows = np.frombuffer(data, ">u8", count=count, offset=k)
+        little = np.frombuffer(data, "<u8", count=count, offset=k)
+        for start in range(0, count, _BLOCK):
+            heads = little[start:start + _BLOCK].astype(np.uint32)
+            heads *= _SIEVE_HASH
+            heads >>= shift
+            at = np.flatnonzero(sieve.take(heads))
+            if end + at.size > found.size:
+                return None
+            found[end:end + at.size] = windows[start + at]
+            end += at.size
+    found = found[:end]
     found.sort()
     return found
+
+
+def _few_repeats(data: bytes) -> bool:
+    """Whether, judged from the first _BLOCK octets, at most n / 128 of
+    the 4-octet windows repeat one before them in sorted order.
+
+    Of m octets drawn independently from one law, about m**2 / (2 K)
+    windows repeat, where 1 / K is the chance that two 4-octet strings
+    drawn from it are equal: n octets hold (n / m)**2 times as many as
+    m do.
+    """
+    n = len(data)
+    sample = _sorted_windows(data[:_BLOCK], 4)
+    repeats = int(np.count_nonzero(sample[1:] == sample[:-1]))
+    return 128 * repeats * n <= sample.size ** 2
+
+
+def _full_window_repeat(data: bytes) -> tuple[int, list[int]]:
+    """A length L, up to 8, at which some string repeats, and strings of
+    L octets that repeat, as big-endian ints.  Every longer repeat has a
+    copy that starts in the last 7 octets; if none does, the strings
+    are all those with two copies that start before them.  L == 8 if
+    two 8-octet windows are equal.
+
+    If few 4-octet windows repeat (_few_repeats), as in random octets
+    up to tens of MiB, one sort of every window of 4 octets, read as a
+    big-endian uint32, gives the repeat if it is shorter than 4 octets.
+    Otherwise the 8-octet windows that pass a sieve of the repeated
+    4-octet strings (_windows_passing) are sorted: two windows that
+    share 4 octets or more share a repeated string, so both pass.  If
+    many 4-octet windows repeat, as in text or data of a few dozen
+    symbols, or more than n / 64 do (_repeated_strings), or more than
+    n / 8 windows pass, all 8-octet windows are sorted.
+
+    Working memory is the 4n octets of sorted 4-octet windows, which the
+    sort needs, 5 * _BLOCK octets (320 KiB) for one block of their gaps,
+    and up to n / 5 octets to collect the repeated strings; then under
+    2n octets for those, the sieve and the windows that pass.  If many
+    repeat, it is the 8n octets of all sorted windows.
+    """
+    n = len(data)
+    if _few_repeats(data):
+        windows = _sorted_windows(data, 4)
+        longest, repeated = _sorted_repeat(windows, 4)
+        if longest < 4:
+            return longest, repeated
+        strings = _repeated_strings(windows, n)
+        del windows
+        if strings is not None:
+            windows = _windows_passing(data, strings)
+            if windows is not None:
+                return _sorted_repeat(windows, 8)
+    return _sorted_repeat(_sorted_windows(data, 8), 8)
 
 
 def _short_repeat(data: bytes) -> tuple[int, tuple[int, int] | None]:
     """The longest repeat and its witness if the repeat is shorter than
     8 octets, else (8, None).
 
-    Every window of 4 octets, read as a big-endian uint32, is sorted
-    once (_sorted_repeat).  If no two are equal, that gives the repeat,
-    under 4 octets, and its strings.  Otherwise only the 8-octet windows
-    whose first 4 octets repeat are gathered and sorted: two windows
-    that share 4 octets or more share those, so among them the longest
-    repeat from 4 up to 8 octets is found the same way.  The windows
-    that start in the last 7 octets are shorter than 8; each is extended
-    with bytes.find while it still occurs elsewhere.
+    The windows of 8 octets, or of 4 first, are sorted
+    (_full_window_repeat).  The windows that start in the last 7 octets
+    are shorter than 8; each is extended with bytes.find while it still
+    occurs elsewhere.
 
     The witness is the first two copies of the repeated L-octet string
     with the least hash; of strings that tie on it, the one whose second
@@ -308,27 +406,16 @@ def _short_repeat(data: bytes) -> tuple[int, tuple[int, int] | None]:
     prefixes of equal sorted neighbours, and the strings at the last 7
     offsets that occur twice.
 
-    Working memory is the 4n octets of sorted 4-octet windows, which the
-    sort needs, and 5 * _BLOCK octets (320 KiB) for one block of their
-    gaps; then 8 octets for each start of a repeated 4-octet string, and
-    one block of 8-octet windows at a time (512 KiB) to find them.
+    Working memory is that of _full_window_repeat: 4n octets if few
+    4-octet windows repeat, else 8n.
     """
     n = len(data)
     longest = 0
     repeated = []  # repeated strings of the length found, as big-endian ints
     if n > 8:
-        windows = np.concatenate(
-            [np.frombuffer(data, ">u4", count=(n - k) // 4, offset=k) for k in range(4)],
-            dtype=np.uint32)
-        windows.sort()
-        longest, repeated = _sorted_repeat(windows, 4)
-        if longest == 4:
-            strings = np.unique(np.concatenate(
-                [later[gaps == 0] for gaps, later in _gap_blocks(windows)]))
-            del windows
-            longest, repeated = _sorted_repeat(_windows_starting(data, strings), 8)
-            if longest == 8:
-                return 8, None
+        longest, repeated = _full_window_repeat(data)
+        if longest == 8:
+            return 8, None
     for j in range(max(n - 7, 0), n):
         for length in range(longest + 1, n - j + 1):
             sub = data[j:j + length]
@@ -420,13 +507,14 @@ def periodicity(data: bytes, min_len: int = 2) -> PeriodicityReport:
     """Scan for global block repetition and the longest repeated
     substring.
 
-    One sort of every 4-octet window gives the longest repeat, and its
-    witness, when it is shorter than 4 octets; from 4 to 7 octets, one
-    more sort of the 8-octet windows that start with a repeated 4-octet
-    string gives them.  Working memory is then about 4n octets (see
-    _short_repeat).  Only when two full 8-octet windows are equal does
-    prefix doubling of ranks take over, in time O(n log^2 n) and about
-    30n octets of working memory.
+    One sort of every 8-octet window gives the longest repeat, and its
+    witness, when it is shorter than 8 octets.  Where few 4-octet
+    windows repeat, as in random octets, one sort of every 4-octet
+    window and one of the 8-octet windows that may start with a
+    repeated one give it instead, in about 4n octets of working memory
+    instead of 8n (see _full_window_repeat).  Only when two full 8-octet
+    windows are equal does prefix doubling of ranks take over, in time
+    O(n log^2 n) and about 30n octets of working memory.
     """
     if min_len < 2:
         raise ValueError("min_len must be at least 2")

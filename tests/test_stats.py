@@ -1,5 +1,6 @@
 """Avalanche, entropy, histogram, autocorrelation, periodicity."""
 
+import base64
 import math
 import random
 import tracemalloc
@@ -342,11 +343,12 @@ def test_periodicity_repeat_split_by_a_hash_collision(n):
     assert data[i:i + n] == data[j:j + n]
 
 
-# The longest repeat shorter than 4 octets comes from one sort of the
-# 4-octet windows; one from 4 to 7 octets from a sort of the 8-octet
-# windows that start with a repeated 4-octet string; both plus a
-# bytes.find check of the windows that start in the last 7 octets.
-# Prefix doubling runs only from 8 octets up.
+# The longest repeat shorter than 8 octets comes from one sort of the
+# 8-octet windows or, where few 4-octet windows repeat, from one sort of
+# the 4-octet windows and one of the 8-octet windows that may start with
+# a repeated one; either plus a bytes.find check of the windows that
+# start in the last 7 octets.  Prefix doubling runs only from 8 octets
+# up.
 
 def string_hash(s):
     h = 0
@@ -446,6 +448,7 @@ def test_periodicity_without_a_four_octet_repeat(k, cut):
 def test_periodicity_random_without_a_four_octet_repeat(size):
     data = np.random.default_rng(size).integers(0, size, 3000, dtype=np.uint8).tobytes()
     assert reference_witness(data, 4) is None
+    assert full_window_path(data) == "4-octet"
     rep = check_against_reference(data)
     assert 0 < rep.longest_repeat < 4
 
@@ -569,6 +572,74 @@ def test_periodicity_at_block_lengths_matches_the_reference_witness(n, size):
     assert 0 < check_against_reference(raw).longest_repeat < 8
 
 
+def symbols(size, n, seed=0):
+    """n octets drawn independently from the first `size` values."""
+    return np.random.default_rng(seed).integers(0, size, n, dtype=np.uint8).tobytes()
+
+
+def full_window_path(data):
+    """Which sorts _full_window_repeat runs on the data."""
+    if not stats._few_repeats(data):
+        return "8-octet"
+    windows = stats._sorted_windows(data, 4)
+    if stats._sorted_repeat(windows, 4)[0] < 4:
+        return "4-octet"
+    strings = stats._repeated_strings(windows, len(data))
+    if strings is None or stats._windows_passing(data, strings) is None:
+        return "4-octet, 8-octet"
+    return "4-octet, sieved 8-octet"
+
+
+# Whether few 4-octet windows repeat is judged from the first _BLOCK
+# octets.  Few: the 4-octet sort, then the 8-octet windows that pass
+# the sieve; many: every 8-octet window.  A wrong guess costs time or
+# memory, never the report.
+@pytest.mark.parametrize("data, path", [
+    (symbols(256, 1 << 17), "4-octet, sieved 8-octet"),
+    (symbols(64, 1 << 17), "4-octet, sieved 8-octet"),
+    (base64.b64encode(symbols(256, 3 << 15)), "4-octet, sieved 8-octet"),
+    (symbols(32, 1 << 17), "8-octet"),
+    (symbols(256, 1 << 16, 1) + symbols(16, 1 << 16, 2), "4-octet, 8-octet"),
+    (symbols(16, 1 << 16, 1) + symbols(256, 1 << 16, 2), "8-octet"),
+    (symbols(256, 3000), "4-octet"),
+], ids=["random", "64 symbols", "base64", "32 symbols", "random, then 16 symbols",
+        "16 symbols, then random", "no 4-octet repeat"])
+def test_periodicity_by_repeated_share_matches_the_reference_witness(data, path):
+    assert full_window_path(data) == path
+    check_against_reference(data)
+
+
+@pytest.mark.parametrize("length, back", [(3, 7), (3, 4), (3, 3), (4, 7), (4, 5), (5, 7), (5, 6)])
+def test_periodicity_sieved_repeat_starting_in_last_seven_octets(length, back):
+    # A planted repeat whose second copy starts at n - back, where no
+    # 8-octet window starts, in random octets: a 3-octet one is the
+    # 4-octet sort's answer; past it no two 8-octet windows share 4
+    # octets, so those the sieve passes give a shorter repeat, and the
+    # last 7 octets the longest.
+    data = bytearray(symbols(256, 3000, length * 8 + back))
+    data[-back:len(data) - back + length] = data[1000:1000 + length]
+    data = bytes(data)
+    assert full_window_path(data) == ("4-octet" if length < 4 else "4-octet, sieved 8-octet")
+    assert check_against_reference(data).longest_repeat == length
+    if length > 3:  # no other 4-octet string repeats
+        assert periodicity(data).witness == (1000, len(data) - back)
+
+
+def test_windows_passing_holds_every_window_with_a_repeated_start():
+    data = symbols(48, 1 << 16)
+    n = len(data)
+    starts = Counter(data[i:i + 4] for i in range(n - 3))
+    wanted = Counter(data[i:i + 8] for i in range(n - 7) if starts[data[i:i + 4]] > 1)
+    strings = stats._repeated_strings(stats._sorted_windows(data, 4), n)
+    assert strings.tolist() == sorted(int.from_bytes(s, "big") for s, c in starts.items() if c > 1)
+    passing = stats._windows_passing(data, strings)
+    assert (passing[1:] >= passing[:-1]).all()
+    passed = Counter(int(w).to_bytes(8, "big") for w in passing)
+    assert wanted and passed - Counter(data[i:i + 8] for i in range(n - 7)) == Counter()
+    assert wanted - passed == Counter()
+    assert passing.size < n // 8
+
+
 @pytest.mark.parametrize("below", [stats._BLOCK - 2, stats._BLOCK - 1, stats._BLOCK])
 def test_periodicity_short_repeat_across_gap_blocks(below):
     """A 7-octet repeat whose copies are the only windows starting with
@@ -619,6 +690,17 @@ def test_kernels_work_in_bounded_memory(mib):
     assert traced_peak(periodicity, data) < 5 * n + (4 << 20)
     nist_subset(data[:1 << 14])  # loads scipy.special outside the trace
     assert traced_peak(nist_subset, data) < n + (3 << 20)
+
+
+# Few repeated 4-octet windows: 4n octets of them.  Many, or a random
+# first 64 KiB before many: the 8n octets of every 8-octet window.
+@pytest.mark.parametrize("head, body, bound", [(100, 100, 5), (64, 64, 8), (256, 48, 8)],
+                         ids=["100 symbols", "64 symbols", "random, then 48 symbols"])
+def test_periodicity_short_repeat_memory_by_repeated_share(head, body, bound):
+    n = 1 << 20
+    data = symbols(head, 1 << 16, 1) + symbols(body, n - (1 << 16), 2)
+    assert periodicity(data).longest_repeat < 8
+    assert traced_peak(periodicity, data) < bound * n + (4 << 20)
 
 
 def test_periodicity_long_path_works_in_bounded_memory():
