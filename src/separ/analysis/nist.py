@@ -13,7 +13,10 @@ Every test reads the sequence packed, eight bits to an octet, and takes
 _BLOCK octets at a time, so its working memory does not grow with the
 sample beyond what the test tallies (block frequency's per-block ones,
 the 2**m pattern counts): octets are read where they lie, and a 0/1
-array is packed once.
+array is packed once.  Monobit, runs, serial and approximate entropy
+read one statistic, the cyclic m-bit pattern counts of the sample: its
+ones are the 1-bit count, and its bit changes the 2-bit counts of 01
+and 10 (SP 800-22 Rev. 1a, section 2.11).
 
 The remaining suite tests (matrix rank, templates, universal, and so
 on) are deliberately not reimplemented here: export a raw keystream and
@@ -68,8 +71,8 @@ def _report(name: str, statistic: float, p: float, n: int) -> StatReport:
 class _Sample:
     """A bit sequence packed once: its n bits in `octets`, most
     significant first, the last octet's unused bits zero.  `counts`
-    keeps the last pattern count taken on it, as (m, counts), so that
-    shorter counts are its marginals (see _counts)."""
+    keeps the longest pattern count taken on it, as (m, counts), so that
+    shorter counts are read from it (see _counts)."""
 
     __slots__ = ("octets", "n", "counts")
 
@@ -135,17 +138,13 @@ _POPCOUNT = np.array([v.bit_count() for v in range(256)], dtype=np.uint8)
 _HEAD_ONES = np.array([[(v >> (8 - r)).bit_count() for v in range(256)] for r in range(8)])
 
 
-def _ones(sample: _Sample) -> int:
-    """The ones of the sample; its unused bits are zero."""
-    return sum(int(_POPCOUNT[block].sum()) for block in _blocks(sample.octets))
-
-
 def monobit(data: bytes | np.ndarray) -> StatReport:
-    """Frequency test: the +1/-1 balance of the whole sequence."""
+    """Frequency test: the +1/-1 balance of the whole sequence.  Its ones
+    are the 1-bit pattern count of 1."""
     from scipy.special import erfc
     sample = _sample(data)
     n = _require(sample, 100, "monobit")
-    s = abs(2 * _ones(sample) - n)
+    s = abs(2 * int(_counts(sample, 1)[1]) - n)
     s_obs = s / math.sqrt(n)
     return _report("monobit", s_obs, erfc(s_obs / math.sqrt(2)), n)
 
@@ -183,6 +182,8 @@ def block_frequency(data: bytes | np.ndarray, block_size: int | None = None) -> 
     sample = _sample(data)
     n = _require(sample, 100, "block_frequency")
     m = block_size if block_size is not None else max(20, n // 100 + 1)
+    if m < 1:
+        raise ValueError(f"block size must be at least 1, got {m}")
     nblocks = n // m
     if nblocks < 1:
         raise ValueError("block size exceeds sequence length")
@@ -191,38 +192,24 @@ def block_frequency(data: bytes | np.ndarray, block_size: int | None = None) -> 
     return _report("block_frequency", chi2, gammaincc(nblocks / 2, chi2 / 2), n)
 
 
-def _transitions(sample: _Sample) -> int:
-    """The bits that differ from the bit before them.
-
-    In each octet o, o ^ (o >> 1) marks bits 6..0 that differ from the
-    bit above them, and bit 7 is compared with the last bit of the octet
-    before, shifted up.  The first bit is compared with itself.  When
-    n % 8 != 0 a last bit of 1 differs from the zero after it, which is
-    not a bit of the sample, and that transition is taken off.
-    """
-    octets = sample.octets
-    count = 0
-    before = octets[:1] >> 7
-    for block in _blocks(octets):
-        previous = np.concatenate((before, block[:-1]))
-        count += int(_POPCOUNT[block ^ (block >> 1) ^ (previous << 7)].sum())
-        before = block[-1:]
-    r = sample.n % 8
-    if r:
-        count -= int(octets[-1]) >> (8 - r) & 1
-    return count
-
-
 def runs(data: bytes | np.ndarray) -> StatReport:
-    """Total number of runs of identical bits."""
+    """Total number of runs of identical bits.
+
+    From the cyclic 2-bit counts c: the ones are c[10] + c[11], and the
+    bits that differ from the bit before them are c[01] + c[10], less
+    the pair that wraps from the last bit to the first if those differ.
+    """
     from scipy.special import erfc
     sample = _sample(data)
     n = _require(sample, 100, "runs")
-    pi = _ones(sample) / n
+    c = _counts(sample, 2)
+    pi = int(c[2] + c[3]) / n
     if abs(pi - 0.5) >= 2 / math.sqrt(n):
         # prerequisite monobit failure: the runs statistic is meaningless
         return _report("runs", 0.0, 0.0, n)
-    v_obs = 1 + _transitions(sample)
+    octets = sample.octets
+    wrap = (int(octets[0]) >> 7) ^ (int(octets[(n - 1) // 8]) >> (7 - (n - 1) % 8) & 1)
+    v_obs = 1 + int(c[1] + c[2]) - wrap
     num = abs(v_obs - 2 * n * pi * (1 - pi))
     den = 2 * math.sqrt(2 * n) * pi * (1 - pi)
     return _report("runs", v_obs, erfc(num / den), n)
@@ -274,22 +261,17 @@ def _pattern_counts(data: bytes | np.ndarray | _Sample, m: int) -> np.ndarray:
     return counts
 
 
-def _marginal(counts: np.ndarray) -> np.ndarray:
-    """Counts of (m-1)-bit patterns from m-bit ones.  With wraparound each
-    (m-1)-bit window is the prefix of exactly one m-bit window, so the
-    two counts of a pattern followed by 0 and by 1 add up exactly."""
-    return counts.reshape(-1, 2).sum(axis=1)
-
-
 def _counts(sample: _Sample, m: int) -> np.ndarray:
-    """The m-bit pattern counts: marginals of the count kept on the
-    sample when it was taken at m or above, else a new count, kept."""
+    """The m-bit pattern counts, 0 <= m: read from the count kept on the
+    sample when it was taken at m or above, else a new count, kept.
+
+    With wraparound each m-bit window is the prefix of exactly one
+    window of the kept length, so the count of an m-bit pattern is the
+    sum of the kept counts of its 2**(kept - m) extensions, which lie
+    side by side."""
     if sample.counts is None or sample.counts[0] < m:
         sample.counts = (m, _pattern_counts(sample, m))
-    kept, counts = sample.counts
-    for _ in range(kept - m):
-        counts = _marginal(counts)
-    return counts
+    return sample.counts[1].reshape(1 << m, -1).sum(axis=1)
 
 
 def _psi_sq(counts: np.ndarray, n: int) -> float:
@@ -311,11 +293,7 @@ def serial(data: bytes | np.ndarray, m: int | None = None) -> StatReport:
         m = min(16, int(math.log2(n)) - 3)
     if not 2 <= m < math.log2(n) - 2:
         raise ValueError(f"serial block length m={m} invalid for n={n}")
-    c_m = _counts(sample, m)
-    c_m1 = _marginal(c_m)
-    psi_m = _psi_sq(c_m, n)
-    psi_m1 = _psi_sq(c_m1, n)
-    psi_m2 = _psi_sq(_marginal(c_m1), n)
+    psi_m, psi_m1, psi_m2 = (_psi_sq(_counts(sample, k), n) for k in (m, m - 1, m - 2))
     d1 = psi_m - psi_m1
     d2 = psi_m - 2 * psi_m1 + psi_m2
     p1 = gammaincc(2 ** (m - 2), d1 / 2)
@@ -338,8 +316,8 @@ def approximate_entropy(data: bytes | np.ndarray, m: int | None = None) -> StatR
         pi = c[c > 0] / n
         return float((pi * np.log(pi)).sum())
 
-    counts = _counts(sample, m + 1)
-    apen = phi(_marginal(counts)) - phi(counts)
+    counts = _counts(sample, m + 1)  # first, so that m is read from it
+    apen = phi(_counts(sample, m)) - phi(counts)
     chi2 = 2.0 * n * (math.log(2) - apen)
     return _report("approximate_entropy", chi2, gammaincc(2 ** (m - 1), chi2 / 2), n)
 
@@ -406,20 +384,21 @@ def nist_subset(data: bytes | np.ndarray) -> list[StatReport]:
     """Run all six implemented tests on one sample of at least 10**5 bits.
 
     The sample is packed once (octets are read where they lie) and each
-    test is still called on its own.  Serial takes its pattern count
-    on the sample and keeps it; approximate entropy's two counts are its
-    marginals.  Working memory is that count (8 * 2**m octets at serial's
-    m, 512 KiB from 2**19 bits up) and a few times _BLOCK octets for the
-    block being read, under 2 MiB whatever the sample's length, plus
-    n / 8 octets to pack a 0/1 array.
+    test is still called on its own.  Serial runs first and keeps its
+    pattern count on the sample; monobit, runs and approximate entropy
+    read their shorter counts from it.  Working memory is that count
+    (8 * 2**m octets at serial's m, 512 KiB from 2**19 bits up) and a
+    few times _BLOCK octets for the block being read, under 2 MiB
+    whatever the sample's length, plus n / 8 octets to pack a 0/1 array.
     """
     sample = _sample(data)
     _require(sample, MIN_SUBSET_BITS, "nist_subset")
+    serial_report = serial(sample)
     return [
         monobit(sample),
         block_frequency(sample),
         runs(sample),
-        serial(sample),
+        serial_report,
         approximate_entropy(sample),
         cumulative_sums(sample),
     ]

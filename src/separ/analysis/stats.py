@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import DEFAULT_LFSR, LfsrSpec, Separ
+from ..core import DEFAULT_LFSR, LfsrSpec, Separ, _octet_view
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +81,14 @@ _BLOCK = 1 << 16
 
 
 def histogram(data: bytes) -> np.ndarray:
-    """256-bin symbol frequency counts; counts sum to len(data).
+    """256-bin symbol frequency counts of the octets of any bytes-like
+    object, read in place whatever its item format; counts sum to its
+    length in octets.
 
     np.bincount widens its input to 8-byte indices, so it counts _BLOCK
     octets at a time: working memory is 8 * _BLOCK octets (512 KiB).
     """
-    arr = np.frombuffer(bytes(data), dtype=np.uint8)
+    arr = np.frombuffer(_octet_view(data), dtype=np.uint8)
     counts = np.bincount(arr[:_BLOCK], minlength=256)
     for start in range(_BLOCK, arr.size, _BLOCK):
         counts += np.bincount(arr[start:start + _BLOCK], minlength=256)
@@ -95,10 +97,11 @@ def histogram(data: bytes) -> np.ndarray:
 
 def entropy(data: bytes) -> float:
     """Shannon entropy in bits per octet."""
-    if len(data) == 0:
-        raise ValueError("entropy of an empty sequence is undefined")
     counts = histogram(data)
-    p = counts[counts > 0] / len(data)
+    n = int(counts.sum())
+    if n == 0:
+        raise ValueError("entropy of an empty sequence is undefined")
+    p = counts[counts > 0] / n
     return float(-(p * np.log2(p)).sum())
 
 
@@ -130,10 +133,10 @@ def autocorrelation(data: bytes, max_lag: int) -> np.ndarray:
     once they are set side by side, and one block of rows, with the T
     rows it pairs with, 8 * (_BLOCK + max_lag + B) octets as float64.
     """
-    n = len(data)
+    arr = np.frombuffer(_octet_view(data), dtype=np.uint8)
+    n = arr.size
     if not 0 < max_lag < n:
         raise ValueError("max_lag must satisfy 0 < max_lag < len(data)")
-    arr = np.frombuffer(bytes(data), dtype=np.uint8)
     b = _LAG_BLOCK
     last = -(-max_lag // b)
     acc = np.zeros((last + 1, b, b))  # C_0 ... C_T

@@ -188,8 +188,12 @@ def _np_round_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 def _octet_view(data) -> bytes | memoryview:
     """Any bytes-like object as its octets, so that its length counts
     octets whatever its item format or shape: bytes as they are (the
-    common case, and the cheaper), anything else as a flat view."""
-    return data if isinstance(data, bytes) else memoryview(data).cast("B")
+    common case, and the cheaper), a contiguous buffer as a flat view,
+    and a strided one, which cannot be cast, as a copy of its items."""
+    if isinstance(data, bytes):
+        return data
+    view = memoryview(data)
+    return view.cast("B") if view.c_contiguous else view.tobytes()
 
 
 def _words(data: bytes) -> array:

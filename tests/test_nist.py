@@ -25,7 +25,6 @@ from separ.analysis.nist import (
     _BLOCK,
     _counts,
     _cusum_p,
-    _marginal,
     _pattern_counts,
     _sample,
     as_bits,
@@ -116,12 +115,11 @@ def brute_pattern_counts(bits, m):
 def test_pattern_counts_match_brute_force(data):
     m, values = data
     bits = np.array(values, dtype=np.uint8)
-    counts = _pattern_counts(bits, m)
-    assert np.array_equal(counts, brute_pattern_counts(bits, m))
+    sample = _sample(bits)
+    assert np.array_equal(_counts(sample, m), brute_pattern_counts(bits, m))
     for k in range(m - 1, 0, -1):
-        counts = _marginal(counts)
-        assert np.array_equal(counts, brute_pattern_counts(bits, k))
-    assert _marginal(counts).tolist() == [bits.size]
+        assert np.array_equal(_counts(sample, k), brute_pattern_counts(bits, k))
+    assert _counts(sample, 0).tolist() == [bits.size]
 
 
 def wrapped_pattern_counts(bits, m):
@@ -148,8 +146,8 @@ def sample_bits(n, seed, p):
     return (np.random.default_rng(seed).random(n) < p).astype(np.uint8)
 
 
-# Serial keeps its count on the sample; every shorter count, approximate
-# entropy's m + 1 and m among them, is a marginal of it.
+# Serial keeps its count on the sample; every shorter count, monobit's,
+# runs' and approximate entropy's among them, is read from it.
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1000, 20 * _BLOCK), seed=st.integers(0, 2 ** 32 - 1),
        p=st.sampled_from([0.5, 0.45, 0.1]))
@@ -284,12 +282,16 @@ def test_cumulative_sums_matches_reversed_walk(bits):
     assert rep.p_value == min(max(float(p), 0.0), 1.0)
 
 
-# Block ones come from the ones before the block edges, and runs from
-# the bits that differ from the bit before them, both read from packed
-# octets a block at a time: check them against their definitions on the
-# unpacked bits, on lengths that cross blocks and leave a tail.
-@pytest.mark.parametrize("n", [8 * _BLOCK - 1, 8 * _BLOCK + 1, 16 * _BLOCK + 7, 100_003])
-@pytest.mark.parametrize("block_size", [None, 7, 20, 8 * _BLOCK - 5])
+# Block ones come from the ones before the block edges, read from packed
+# octets a block at a time, and monobit and runs from the cyclic pattern
+# counts, less the pair that wraps: check them against their definitions
+# on the unpacked bits, on lengths that cross blocks and leave a tail,
+# and on short ones whose first and last bits are equal and unequal.
+@pytest.mark.parametrize("block_size, n", [
+    *((block_size, n) for block_size in (None, 7, 20, 8 * _BLOCK - 5)
+      for n in (8 * _BLOCK - 1, 8 * _BLOCK + 1, 16 * _BLOCK + 7, 100_003)),
+    *((block_size, n) for block_size in (None, 7, 20) for n in range(100, 108)),
+])
 def test_block_frequency_and_runs_match_their_definitions(n, block_size):
     bits = random_bits(n, seed=n)
     m = block_size or max(20, n // 100 + 1)
@@ -371,6 +373,9 @@ def test_individual_length_guards():
     for fn in (serial, approximate_entropy):
         with pytest.raises(ValueError):
             fn(random_bits(500))
+    for block_size in (0, -3):
+        with pytest.raises(ValueError, match=f"block size must be at least 1, got {block_size}"):
+            block_frequency(random_bits(1000), block_size)
 
 
 def test_serial_parameter_validation():

@@ -4,6 +4,7 @@ import base64
 import math
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -118,6 +119,20 @@ def test_histogram_sums_to_length(rng):
         assert h.dtype == np.intp and int(h.sum()) == len(data)
         counts = Counter(data)
         assert h.tolist() == [counts[v] for v in range(256)]
+
+
+# Any bytes-like input is read in place as its octets, whatever its item
+# format: array('H') holds 2048 items here, and a copy of a 1 MiB
+# bytearray would take 1 MiB.  Only a strided view is copied.
+def test_kernels_read_any_bytes_like_as_octets(rng):
+    data = rng.randbytes(4096)
+    spread = bytearray(2 * len(data))
+    spread[::2] = data
+    for octets in (bytearray(data), memoryview(data), array("H", data), memoryview(spread)[::2]):
+        assert np.array_equal(histogram(octets), histogram(data))
+        assert entropy(octets) == entropy(data)
+        assert np.array_equal(autocorrelation(octets, 4), autocorrelation(data, 4))
+    assert traced_peak(entropy, bytearray(1 << 20)) < 1 << 20
 
 
 def test_keystream_entropy_and_histogram_uniformity():

@@ -130,6 +130,9 @@ def test_bytes_like_inputs_count_octets(rng):
     assert cipher.decrypt(nonce, _wide(ct)) == data
     stream = cipher.encryptor(nonce)
     assert stream.update(_wide(data[:4])) + stream.update(_wide(data[4:])) == ct
+    spread = bytearray(2 * len(data))
+    spread[::2] = data
+    assert cipher.encrypt(nonce, memoryview(spread)[::2]) == ct  # strided
     for typecode in "BH":  # the arrays themselves, not views of them
         def raw(octets):
             return array(typecode, octets)
