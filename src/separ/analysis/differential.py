@@ -11,7 +11,6 @@ Two complementary tools:
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -108,49 +107,46 @@ def characteristic_search(iterations: int, p_min: Fraction | float,
     """All characteristics over `iterations` round bodies with DDT-product
     probability at least p_min, sorted by descending probability.
 
-    Branch-and-bound: a branch dies as soon as its probability, even if
-    every remaining round were a single best-case S-box transition,
-    cannot reach p_min.  The best case is the largest DDT count of a
-    nonzero input difference over the given S-boxes (4 of 16 for SBOXES).
-    A branch carries its probability as an integer product of DDT counts
-    and its number k of active S-boxes, so every test is an exact integer
-    comparison with p_min = num/den, and the Fraction count/16**k is
-    built only for an emitted characteristic.  Key XOR is transparent to
-    XOR differences and the mix/diffusion layers are propagated exactly,
-    so the enumeration is key-independent.
+    Branch-and-bound: a branch dies once it cannot reach p_min even with
+    each active nibble's largest DDT count next round and one best-case
+    S-box transition (4 of 16 for SBOXES) per later round.  It carries
+    its probability as an integer product of DDT counts and its number k
+    of active S-boxes, so every test is an exact integer comparison with
+    p_min = num/den; a Fraction is built only per emitted characteristic.
+    Key XOR is transparent to XOR differences and the mix/diffusion
+    layers are propagated exactly, so the enumeration is key-independent.
     """
     if not 1 <= iterations <= MAX_ITERATIONS:
         raise ValueError(f"iterations must be in [1, {MAX_ITERATIONS}]")
-    p_min = Fraction(p_min).limit_denominator(1 << 62)
+    p_min = Fraction(p_min)
     if not 0 < p_min < 1:
         raise ValueError("p_min must lie in (0, 1)")
     num, den = p_min.numerator, p_min.denominator
 
-    ddts = [compute_ddt(box).counts for box in sboxes]
     # transitions[pos][a] = ((b, count), ...) sorted by count descending
     transitions = []
-    for ddt in ddts:
+    for box in sboxes:
+        ddt = compute_ddt(box).counts
         rows = []
         for a in range(16):
             opts = [(b, int(ddt[a][b])) for b in range(16) if ddt[a][b]]
             opts.sort(key=lambda t: (-t[1], t[0]))
             rows.append(tuple(opts))
         transitions.append(rows)
-    best_box = max(int(ddt[1:].max()) for ddt in ddts)
-    # (best_box / 16) ** r is the best case of r more rounds; den folded in
+    # top[pos][a]: the largest count from a at box pos; 16 for a = 0, so an
+    # inactive nibble weighs as probability 1
+    top = [[row[0][1] for row in rows] for rows in transitions]
+    # (best_box / 16) ** r, over a != 0, bounds r more rounds; den folded in
+    best_box = max(max(counts[1:]) for counts in top)
     scale = [best_box ** r * den for r in range(iterations)]
+    # 256 times an octet's best one-round probability: boxes 0 and 1 for
+    # the low octet, 2 and 3 for the high
+    best_lo, best_hi = ([top[pos][o & 0xF] * top[pos + 1][o >> 4]
+                         for o in range(256)] for pos in (0, 2))
 
-    # the best single round from every delta: the product of the largest
-    # counts of its active nibbles, and the number of active nibbles
-    deltas = np.arange(1 << 16)
-    best_np = np.ones(1 << 16, dtype=np.uint64)
-    active_np = np.zeros(1 << 16, dtype=np.uint8)
-    for pos, ddt in enumerate(ddts):
-        a = (deltas >> (4 * pos)) & 0xF
-        best_np *= np.where(a, ddt.max(axis=1)[a], 1).astype(np.uint64)
-        active_np += a != 0
-    best_count = array("Q", best_np.tobytes())
-    best_active = array("B", active_np.tobytes())
+    def viable(delta: int, count: int, k: int, rest: int) -> bool:
+        return (count * best_lo[delta & 0xFF] * best_hi[delta >> 8]
+                * scale[rest] >= num << 4 * (k + 4 + rest))
 
     results: list[DiffCharacteristic] = []
 
@@ -161,8 +157,7 @@ def characteristic_search(iterations: int, p_min: Fraction | float,
                                               Fraction(count, 16 ** k)))
             return
         rest = remaining - 1
-        if (count * best_count[delta] * scale[rest]
-                < num << 4 * (k + best_active[delta] + rest)):
+        if not viable(delta, count, k, rest):
             return
         active = [(pos, a) for pos in range(4)
                   if (a := (delta >> (4 * pos)) & 0xF)]
@@ -181,9 +176,13 @@ def characteristic_search(iterations: int, p_min: Fraction | float,
 
         expand(0, 0, count, k)
 
-    for din in range(1, 1 << 16):
-        if (best_count[din] * scale[iterations - 1]
-                >= num << 4 * (best_active[din] + iterations - 1)):
+    # a root's bound falls with its low octet's best_lo, so under each high
+    # octet the low octets are walked in that order up to the first that fails
+    lows = sorted(range(256), key=best_lo.__getitem__, reverse=True)
+    for hi in range(256):
+        for din in (hi << 8 | lo for lo in lows if hi or lo):
+            if not viable(din, 1, 0, iterations - 1):
+                break
             descend(din, 1, 0, iterations, (din,))
     # descend refers to itself through its closure; emptying the cell ends
     # that cycle, so the tables are freed now and not at the next full GC

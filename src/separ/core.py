@@ -646,9 +646,13 @@ class Separ:
     # The rule counts the words the message has already run, so a stream
     # fed in small pieces takes the tables once its length so far reaches
     # the threshold: by then it has spent on the stages about what one
-    # table build costs, so no message runs at more than about twice the
-    # cost of the better engine for its whole length.  Counted per call,
-    # a stream of small pieces would never switch.
+    # table build costs, so once numpy is loaded no message runs at more
+    # than about twice the cost of the better engine for its whole
+    # length.  In a fresh process that does not hold: the first build
+    # also pays the numpy import, and with a fresh key 2048 words took
+    # 105 ms on the tables against 12.5-16.4 ms on the stages (ROADMAP
+    # item 14).  Counted per call, a stream of small pieces would never
+    # switch.
     _BULK_THRESHOLD = 2048
 
     def encryptor(self, nonce: bytes | Sequence[int]) -> "Encryptor":

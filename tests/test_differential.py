@@ -1,6 +1,8 @@
 """Differential counting and characteristic search."""
 
 import hashlib
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +136,39 @@ def test_search_single_round_census():
     assert all(bin(c.differences[0]).count("1") <= 4 for c in chars)
 
 
+def single_round_tally(sboxes, p_min):
+    """The number of one-round characteristics at p >= p_min, counted
+    from the DDTs alone: each nibble is inactive or takes any nonzero
+    DDT cell of a nonzero input, and at least one nibble is active.  The
+    linear layers are a bijection, so each combination is one
+    characteristic."""
+    combos = Counter({(1, 0): 1})  # (count product, active S-boxes)
+    for box in sboxes:
+        ddt = compute_ddt(box).counts
+        cells = Counter(int(c) for c in ddt[1:].ravel() if c)
+        grown = Counter()
+        for (product, k), n in combos.items():
+            grown[product, k] += n
+            for c, m in cells.items():
+                grown[product * c, k + 1] += n * m
+        combos = grown
+    return sum(n for (product, k), n in combos.items()
+               if k and Fraction(product, 16 ** k) >= p_min)
+
+
+@pytest.mark.parametrize("sboxes, p_min, expected", [
+    (SBOXES, Fraction(1, 4), 72),
+    (SBOXES, Fraction(1, 8), 408),
+    (SBOXES, Fraction(1, 16), 2352),
+    ((tuple(range(14)) + (15, 14),) * 4, Fraction(1, 2), 5167),
+], ids=["1/4", "1/8", "1/16", "weak 1/2"])
+def test_search_single_round_counts_from_the_ddts(sboxes, p_min, expected):
+    """Below 1/4 a root can have several active nibbles, so these
+    thresholds reach roots that the 1/4 census never visits."""
+    assert single_round_tally(sboxes, p_min) == expected
+    assert len(characteristic_search(1, p_min, sboxes)) == expected
+
+
 def test_search_probabilities_are_ddt_products():
     for rounds, p_min in ((1, Fraction(1, 4)), (2, Fraction(1, 16))):
         for ch in characteristic_search(rounds, p_min):
@@ -174,6 +209,23 @@ def test_search_output_is_pinned():
     digest = hashlib.sha256("\n".join(map(str, chars)).encode()).hexdigest()
     assert digest == "26436943561482331a1efd7102b3107a2ba6aabcbc42d9e4a5f7a711a7819b1b"
     assert len(characteristic_search(2, Fraction(1, 64))) == 1469
+    chars = characteristic_search(3, Fraction(1, 1024))
+    assert len(chars) == 14318
+    digest = hashlib.sha256("\n".join(map(str, chars)).encode()).hexdigest()
+    assert digest == "9fbdb4228ee45410c6a82a38295448730a09d4448ccfcc0536eda238c41f2c4a"
+
+
+def test_search_in_bounded_memory():
+    """The bound reads 256-entry tables per octet of a difference, so a
+    five-round search holds little beyond the trails it returns."""
+    characteristic_search(5, Fraction(1, 2048))
+    tracemalloc.start()
+    try:
+        characteristic_search(5, Fraction(1, 2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_search_bound_follows_the_given_sboxes():
@@ -212,6 +264,9 @@ def test_search_rejects_bad_arguments():
 
 def test_search_empty_result_is_valid():
     assert characteristic_search(2, Fraction(1, 2)) == []
+    # p_min is compared as given: a threshold just above 1/4 keeps none
+    # of the 72 characteristics of probability exactly 1/4
+    assert characteristic_search(1, Fraction(2 ** 64 + 1, 2 ** 66)) == []
 
 
 def test_top_characteristic_monte_carlo(rng):
