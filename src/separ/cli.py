@@ -34,12 +34,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import random
 import stat
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
@@ -246,6 +244,7 @@ def cmd_analyze_sbox(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_avalanche(args: argparse.Namespace) -> int:
+    import json
     key, iv = _key_iv(args)
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
@@ -275,6 +274,7 @@ def cmd_analyze_avalanche(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_stats(args: argparse.Namespace) -> int:
+    import json
     key = parse_hex(args.key, KEY_BYTES, "key")
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
@@ -295,6 +295,7 @@ def cmd_analyze_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_diff(args: argparse.Namespace) -> int:
+    from fractions import Fraction
     try:
         p_min = Fraction(args.pmin) if "/" in args.pmin else Fraction(float(args.pmin))
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -311,6 +312,7 @@ def cmd_analyze_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_complexity(args: argparse.Namespace) -> int:
+    import json
     eqs, vars_ = analysis.algebraic_complexity(
         args.sboxes_per_encblock, args.encblocks, args.keyschedule_sboxes)
     print(json.dumps({"sboxes_per_encblock": args.sboxes_per_encblock,

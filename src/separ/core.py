@@ -25,7 +25,6 @@ import functools
 import itertools
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -162,23 +161,31 @@ def _translate_octets(table: array, hi: bytes, lo: bytes) -> array:
 
 
 # S is the S-box layer and R = linear_diffusion . nibble_mix . S the
-# unkeyed round body, with their inverses, as array('H') for scalar
-# lookups.  R^-1 = S^-1 . mix^-1 . diffusion^-1 is not of _table's form,
-# so S^-1 is applied octet by octet to the table of its linear part.
+# unkeyed round body, as array('H') for scalar lookups.
 S = _table(sbox_layer)
 R = _table(lambda m: linear_diffusion(nibble_mix(sbox_layer(m))))
-S_INV = _table(inv_sbox_layer)
-R_INV = _translate_octets(_table(lambda m: inv_nibble_mix(inv_linear_diffusion(m))),
-                          bytes(inv_sbox_layer(a << 8) >> 8 for a in range(256)),
-                          bytes(inv_sbox_layer(b) & 0xFF for b in range(256)))
 
 
 @functools.cache
-def _np_round_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """numpy views of S, R, S_INV and R_INV on the same buffers, for
-    gathers.  The first call imports numpy."""
+def _inverse_round_tables() -> tuple[array, array]:
+    """S_INV and R_INV, the inverses of S and R, built on first use: only
+    decryption reads them.  R^-1 = S^-1 . mix^-1 . diffusion^-1 is not of
+    _table's form, so S^-1 is applied octet by octet to the table of its
+    linear part."""
+    s_inv = _table(inv_sbox_layer)
+    r_inv = _translate_octets(_table(lambda m: inv_nibble_mix(inv_linear_diffusion(m))),
+                              bytes(inv_sbox_layer(a << 8) >> 8 for a in range(256)),
+                              bytes(inv_sbox_layer(b) & 0xFF for b in range(256)))
+    return s_inv, r_inv
+
+
+@functools.cache
+def _np_round_tables(inverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """numpy views of S and R, or of S_INV and R_INV if `inverse`, on the
+    same buffers, for gathers.  The first call imports numpy."""
     import numpy as np
-    return tuple(np.frombuffer(t, dtype=np.uint16) for t in (S, R, S_INV, R_INV))
+    tables = _inverse_round_tables() if inverse else (S, R)
+    return tuple(np.frombuffer(t, dtype=np.uint16) for t in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -223,26 +230,61 @@ def _keystream_length(nwords: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+class _Record:
+    """Named fields, compared and shown as a dataclass's are: records of
+    one class are equal if their fields, in `_fields` order, are, and
+    repr reads "Name(field=value, ...)".  __eq__ without __hash__ leaves
+    a record unhashable."""
+
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A record whose __init__ sets its fields once, in its __dict__:
+    assigning or deleting an attribute afterwards raises AttributeError,
+    and equal records hash alike."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+# ---------------------------------------------------------------------------
 # key schedule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubkeySet:
+class SubkeySet(_FrozenRecord):
     """The six 16-bit subkeys feeding one enc_block stage.
 
     sk5 and sk6 are redundant whitening keys (sk5 = sk1^sk2,
     sk6 = sk3^sk4); the constructor enforces those identities.
     """
 
-    n: int
-    sk1: int
-    sk2: int
-    sk3: int
-    sk4: int
-    sk5: int
-    sk6: int
+    _fields = ("n", "sk1", "sk2", "sk3", "sk4", "sk5", "sk6")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, sk1: int, sk2: int, sk3: int, sk4: int,
+                 sk5: int, sk6: int) -> None:
+        vars(self).update(n=n, sk1=sk1, sk2=sk2, sk3=sk3, sk4=sk4, sk5=sk5, sk6=sk6)
         if not 1 <= self.n <= NUM_BLOCKS:
             raise ValueError(f"stage index out of range: {self.n}")
         for i, v in enumerate(self.keys, 1):
@@ -320,13 +362,11 @@ class _Stage:
 
 
 class _InverseStage(_Stage):
-    """dec_block under one stage's subkeys, on S_INV and R_INV by default:
-    indexed like its inverse table."""
+    """dec_block under one stage's subkeys, on tables its caller passes:
+    S_INV and R_INV (:func:`_inverse_round_tables`) or their numpy views.
+    Indexed like its inverse table."""
 
     __slots__ = ()
-
-    def __init__(self, keys: tuple[int, int, int, int, int, int], s=S_INV, r=R_INV) -> None:
-        super().__init__(keys, s, r)
 
     def __getitem__(self, c: int | np.ndarray) -> int | np.ndarray:
         k1, k2, k3, k4, k5, k6 = self.keys
@@ -345,28 +385,29 @@ def dec_block(c: int, sk: SubkeySet) -> int:
     """Exact inverse of :func:`enc_block`, on the inverse tables."""
     if not 0 <= c <= MASK16:
         raise ValueError(f"block word out of range: {c!r}")
-    return _InverseStage(sk.keys)[c]
+    return _InverseStage(sk.keys, *_inverse_round_tables())[c]
 
 
 # ---------------------------------------------------------------------------
 # LFSR
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LfsrSpec:
+class LfsrSpec(_FrozenRecord):
     """Feedback configuration for the 16-bit Fibonacci LFSR.
 
     ``taps`` selects the state bits XORed into the feedback; the
     register shifts left with the feedback entering at bit 0.  The
     default mask 0xD008 (bits 15, 14, 12, 3) is the classic maximal
     tap set conventionally written x^16 + x^15 + x^13 + x^4 + 1.
-    Construction walks the full cycle and rejects any mask whose period
-    falls short of 2**16 - 1.
+    Construction rejects any mask whose period falls short of 2**16 - 1:
+    it tests the feedback polynomial for primitivity, by the order of x
+    modulo it (:func:`_is_maximal_length`), without clocking the register.
     """
 
-    taps: int = 0xD008
+    _fields = ("taps",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, taps: int = 0xD008) -> None:
+        vars(self)["taps"] = taps
         if not 0 < self.taps <= MASK16:
             raise ValueError(f"taps mask out of range: {self.taps:#x}")
         if not _is_maximal_length(self.taps):
@@ -382,15 +423,46 @@ def _lfsr_next(taps: int) -> array:
     return _table(lambda x: ((x << 1) & MASK16) | ((x & taps).bit_count() & 1))
 
 
+_PERIOD = (1 << WORD_BITS) - 1   # 3 * 5 * 17 * 257
+_PERIOD_PRIMES = (3, 5, 17, 257)
+
+
+def _mulmod(a: int, b: int, f: int) -> int:
+    """a * b modulo f, for polynomials over GF(2) held as ints (bit i the
+    coefficient of x^i), f of degree 16 and a of lower degree."""
+    p = 0
+    while b:
+        if b & 1:
+            p ^= a
+        b >>= 1
+        a <<= 1
+        if a >> WORD_BITS:
+            a ^= f
+    return p
+
+
+def _x_power(e: int, f: int) -> int:
+    """x^e modulo f, by repeated squaring."""
+    r, square = 1, 0b10
+    while e:
+        if e & 1:
+            r = _mulmod(r, square, f)
+        square = _mulmod(square, square, f)
+        e >>= 1
+    return r
+
+
 @functools.lru_cache(maxsize=32)
 def _is_maximal_length(taps: int) -> bool:
-    nxt = _lfsr_next(taps)
-    state = 1
-    for step in range(1, 1 << WORD_BITS):
-        state = nxt[state]
-        if state == 1:
-            return step == (1 << WORD_BITS) - 1
-    return False
+    """Whether the register has period 2**16 - 1: whether its feedback
+    polynomial f(x) = x^16 + sum of x^(15 - i) over the tapped bits i is
+    primitive, that is, whether x has order exactly 2**16 - 1 modulo f:
+    x^(2**16 - 1) = 1, and x^((2**16 - 1) / p) != 1 for each prime p of
+    2**16 - 1.  A mask without bit 15 makes x divide f, so no power of x
+    is 1 and it is rejected, as its singular clock must be."""
+    f = (1 << WORD_BITS) | int(f"{taps:016b}"[::-1], 2)
+    return _x_power(_PERIOD, f) == 1 and all(_x_power(_PERIOD // p, f) != 1
+                                             for p in _PERIOD_PRIMES)
 
 
 DEFAULT_LFSR = LfsrSpec()
@@ -407,8 +479,7 @@ def lfsr_clock(lfsr: int, spec: LfsrSpec = DEFAULT_LFSR) -> int:
 # cipher state machine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CipherState:
+class CipherState(_Record):
     """The 144-bit mutable machine: eight state words, the LFSR, and a
     step counter.  One logical owner at a time; never share for
     concurrent mutation.
@@ -419,11 +490,10 @@ class CipherState:
     callers may change.
     """
 
-    states: list[int]
-    lfsr: int
-    t: int = 0
+    _fields = ("states", "lfsr", "t")
 
-    def __post_init__(self) -> None:
+    def __init__(self, states: list[int], lfsr: int, t: int = 0) -> None:
+        self.states, self.lfsr, self.t = states, lfsr, t
         self._checked()
 
     def _checked(self) -> tuple[int, int, int, int, int, int, int, int, int]:
@@ -477,7 +547,6 @@ class Separ:
         self.lfsr_spec = lfsr_spec
         self._lfsr_table = _lfsr_next(lfsr_spec.taps)
         self._stages = tuple(map(_Stage, keys))
-        self._inverse_stages = tuple(map(_InverseStage, keys))
         self._enc_tables: list[array] | None = None
         self._dec_tables: list[array] | None = None
 
@@ -486,6 +555,13 @@ class Separ:
         """Each stage's subkeys as a validated :class:`SubkeySet`, stage 1
         first."""
         return tuple(SubkeySet(n, *st.keys) for n, st in enumerate(self._stages, 1))
+
+    @functools.cached_property
+    def _inverse_stages(self) -> tuple[_InverseStage, ...]:
+        """The dec_block stages on the shared inverse tables, built, like
+        those tables, on first use."""
+        s_inv, r_inv = _inverse_round_tables()
+        return tuple(_InverseStage(st.keys, s_inv, r_inv) for st in self._stages)
 
     # -- initialization ------------------------------------------------
 
@@ -768,12 +844,11 @@ def enc_block_table(sk: SubkeySet) -> np.ndarray:
     """enc_block evaluated on every 16-bit input, as a uint16 array: the
     stage object on the numpy round tables, indexed with every word."""
     import numpy as np
-    s, r, _, _ = _np_round_tables()
-    return _Stage(sk.keys, s, r)[np.arange(1 << WORD_BITS, dtype=np.uint16)]
+    return _Stage(sk.keys, *_np_round_tables())[np.arange(1 << WORD_BITS, dtype=np.uint16)]
 
 
 def dec_block_table(sk: SubkeySet) -> np.ndarray:
     """dec_block evaluated on every 16-bit input, on the inverse tables."""
     import numpy as np
-    _, _, s_inv, r_inv = _np_round_tables()
-    return _InverseStage(sk.keys, s_inv, r_inv)[np.arange(1 << WORD_BITS, dtype=np.uint16)]
+    return _InverseStage(sk.keys, *_np_round_tables(inverse=True))[
+        np.arange(1 << WORD_BITS, dtype=np.uint16)]

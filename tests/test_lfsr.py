@@ -1,10 +1,12 @@
 """LFSR feedback configuration and clocking."""
 
+import random
+
 import numpy as np
 import pytest
 
 from reference_oracle import ref_lfsr_step
-from separ.core import DEFAULT_LFSR, LfsrSpec, _lfsr_next, lfsr_clock
+from separ.core import DEFAULT_LFSR, LfsrSpec, _is_maximal_length, _lfsr_next, lfsr_clock
 
 
 def lfsr_period(seed: int, spec: LfsrSpec = DEFAULT_LFSR) -> int:
@@ -80,3 +82,31 @@ def test_alternative_maximal_taps_accepted():
     # x^16 + x^14 + x^13 + x^11 + 1, another maximal-length polynomial
     spec = LfsrSpec(taps=0xB400)
     assert lfsr_period(1, spec) == 65535
+
+
+def _walk_is_maximal(taps: int) -> bool:
+    """The reference: clock the register from state 1 until it returns,
+    and ask whether that took 2**16 - 1 steps."""
+    nxt = _lfsr_next.__wrapped__(taps)
+    state = 1
+    for step in range(1, 1 << 16):
+        state = nxt[state]
+        if state == 1:
+            return step == (1 << 16) - 1
+    return False
+
+
+# 0xD008 and 0xB400 (maximal), 0x5008 (no bit 15: a singular clock),
+# 0x8000 (bit 15 set, period 16), then seeded random masks.
+_ORDER_TEST_MASKS = [0xD008, 0xB400, 0x5008, 0x8000,
+                     *random.Random(26).sample(range(1, 1 << 16), 200)]
+
+
+def test_order_test_agrees_with_the_walk():
+    """The primitivity test accepts exactly the masks whose register,
+    clocked from 1, first returns after 2**16 - 1 steps."""
+    verdicts = {taps: _is_maximal_length.__wrapped__(taps) for taps in _ORDER_TEST_MASKS}
+    assert verdicts == {taps: _walk_is_maximal(taps) for taps in _ORDER_TEST_MASKS}
+    assert verdicts[0xD008] and verdicts[0xB400]
+    assert not verdicts[0x5008] and not verdicts[0x8000]
+    assert 0 < sum(verdicts.values()) < len(verdicts)

@@ -1,5 +1,7 @@
 """Initialization and the word-at-a-time encrypt/decrypt machine."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -169,6 +171,22 @@ def test_decrypt_stream_of_encrypt_stream(rng):
     assert pts == words
 
 
+@pytest.mark.parametrize("key_seed", range(5))
+def test_flipped_ciphertext_bit_desynchronizes_every_later_word(key_seed):
+    """The stream does not resynchronize: after one flipped bit (bit 8 of
+    word 5), the last 100 of 1024 words decrypt about as often by chance
+    as a random word's low octet would match (1 in 256), not correctly."""
+    rng = random.Random(key_seed)
+    cipher, nonce = Separ(rng.randbytes(32)), rng.randbytes(16)
+    pt = rng.randbytes(2048)
+    ct = bytearray(cipher.encrypt(nonce, pt))
+    ct[2 * 5] ^= 0x01   # bit 8 of word 5: the low bit of its high octet
+    out = cipher.decrypt(nonce, bytes(ct))
+    assert out[:10] == pt[:10] and out[10:12] != pt[10:12]
+    tail = range(1024 - 100, 1024)
+    assert sum(out[2 * i:2 * i + 2] == pt[2 * i:2 * i + 2] for i in tail) < 10
+
+
 def test_single_step_roundtrip_sampled(rng):
     """Round trip over random single words from a fixed initialized
     state, resetting the state each trial (exhaustive run lives in the
@@ -201,8 +219,11 @@ def test_bad_nonce_rejected():
 
 
 # Impossible states: a zero LFSR, or a state word or LFSR outside
-# [0, 2**16), as (index of the state word set, its value, the LFSR).
-_BAD_STATES = [(0, 0, 0), (7, 0x10000, 1), (0, -1, 1), (0, 0, 0x10000)]
+# [0, 2**16), as (indices of the state words set, their value, the LFSR).
+# The last eight put the first word and one other word, or the LFSR, out
+# of range by the same high bit, which an XOR of the two would cancel.
+_BAD_STATES = [((0,), 0, 0), ((7,), 0x10000, 1), ((0,), -1, 1), ((0,), 0, 0x10000),
+               ((0,), 0x10000, 0x10000), *(((0, i), 0x10000, 1) for i in range(1, 8))]
 
 
 @pytest.mark.parametrize("step", ["encrypt_word", "decrypt_word"])
@@ -210,9 +231,10 @@ def test_word_step_rejects_zero_lfsr(step):
     """Also a state word or LFSR outside [0, 2**16); st is left as it was.
     The state is valid when built and changed in place, as callers may."""
     cipher = Separ(bytes(32))
-    for i, word, lfsr in _BAD_STATES:
+    for indices, word, lfsr in _BAD_STATES:
         st = CipherState([0] * 8, 1)
-        st.states[i] = word
+        for i in indices:
+            st.states[i] = word
         st.lfsr = lfsr
         before = (list(st.states), st.lfsr, st.t)
         with pytest.raises(ValueError, match="LFSR"):
@@ -221,9 +243,10 @@ def test_word_step_rejects_zero_lfsr(step):
 
 
 def test_state_construction_rejects_impossible_states():
-    for i, word, lfsr in _BAD_STATES:
+    for indices, word, lfsr in _BAD_STATES:
         states = [0] * 8
-        states[i] = word
+        for i in indices:
+            states[i] = word
         with pytest.raises(ValueError, match="LFSR"):
             CipherState(states, lfsr)
     for count in (7, 9):
