@@ -307,8 +307,9 @@ class SubkeySet(_FrozenRecord):
 
 ZERO_SUBKEYS = SubkeySet(1, 0, 0, 0, 0, 0, 0)
 
-_FIELD_SHIFT = 7          # the schedule's 4-bit S-box window sits at bits 7..10
-_FIELD_MASK = 0xF << _FIELD_SHIFT
+# The schedule's S-box window is the 4-bit field f at bits 7..10: XORing
+# _WINDOW[f] into the word replaces f with SBOXES[0][f].
+_WINDOW = tuple((SBOXES[0][f] ^ f) << 7 for f in range(16))
 
 
 def _key_words(key: bytes) -> array:
@@ -320,16 +321,11 @@ def _key_words(key: bytes) -> array:
     return _words(key)
 
 
-def _sbox_window(w: int) -> int:
-    """Substitute the 4-bit field at bits 7..10 through the first S-box."""
-    field = (w & _FIELD_MASK) >> _FIELD_SHIFT
-    return (w & ~_FIELD_MASK & MASK16) | (SBOXES[0][field] << _FIELD_SHIFT)
-
-
 def _stage_keys(k1: int, k2: int, n: int) -> tuple[int, int, int, int, int, int]:
     """The schedule formula: stage n's subkeys sk1..sk6 from its segment."""
-    sk3 = _sbox_window(rotl(k1, 6)) ^ (n + 2)
-    sk4 = _sbox_window(rotl(k2, 10)) ^ (n + 3)
+    r1, r2 = rotl(k1, 6), rotl(k2, 10)
+    sk3 = r1 ^ _WINDOW[(r1 >> 7) & 0xF] ^ (n + 2)
+    sk4 = r2 ^ _WINDOW[(r2 >> 7) & 0xF] ^ (n + 3)
     return k1, k2, sk3, sk4, k1 ^ k2, sk3 ^ sk4
 
 
@@ -572,21 +568,21 @@ class Separ:
         same state.  The final mixing word seeds the LFSR with bit
         0x0100 forced on, so the LFSR never starts at zero.
         """
-        s = _parse_nonce(nonce)
+        s1, s2, s3, s4, s5, s6, s7, s8 = _parse_nonce(nonce)
         t1, t2, t3, t4, t5, t6, t7, t8 = self._stages
         out = 0
         for _ in range(INIT_ROUNDS):
-            v12 = t1[s[0] ^ s[2] ^ s[4] ^ s[6]]
-            v23 = t2[v12 ^ s[1]]
-            v34 = t3[v23 ^ s[2]]
-            v45 = t4[v34 ^ s[3]]
-            v56 = t5[v45 ^ s[4]]
-            v67 = t6[v56 ^ s[5]]
-            v78 = t7[v67 ^ s[6]]
-            out = t8[v78 ^ s[7]]
-            s = [s[0] ^ out, s[1] ^ v12, s[2] ^ v23, s[3] ^ v34,
-                 s[4] ^ v45, s[5] ^ v56, s[6] ^ v67, s[7] ^ v78]
-        return CipherState(states=s, lfsr=out | LFSR_FORCE_BIT, t=0)
+            v12 = t1[s1 ^ s3 ^ s5 ^ s7]
+            v23 = t2[v12 ^ s2]
+            v34 = t3[v23 ^ s3]
+            v45 = t4[v34 ^ s4]
+            v56 = t5[v45 ^ s5]
+            v67 = t6[v56 ^ s6]
+            v78 = t7[v67 ^ s7]
+            out = t8[v78 ^ s8]
+            s1, s2, s3, s4, s5, s6, s7, s8 = (s1 ^ out, s2 ^ v12, s3 ^ v23, s4 ^ v34,
+                                              s5 ^ v45, s6 ^ v56, s7 ^ v67, s8 ^ v78)
+        return CipherState([s1, s2, s3, s4, s5, s6, s7, s8], out | LFSR_FORCE_BIT)
 
     # -- word-at-a-time machine -----------------------------------------
 
@@ -717,18 +713,17 @@ class Separ:
     # plus the loop (encryption, medians of 15, two runs); at 1536 words
     # the stages won (13.0 and 10.5 ms against 14.1 and 13.3 ms), at 3072
     # the tables (16.9 and 16.6 ms against 25.1 and 24.8 ms).  Those runs
-    # had numpy loaded: the first table build in a process also pays the
-    # numpy import (about 90 ms there), which nothing below it loads.
+    # had numpy loaded.  While numpy is not in `sys.modules`, the first
+    # table build also pays its import, so the rule takes the tables only
+    # from 8 * _BULK_THRESHOLD (16,384) words: a fresh `separ encrypt` of
+    # 16,383 words took 126 ms on the stages against 134 ms for the
+    # import, the tables and the loop (medians of 7; ROADMAP item 14).
     # The rule counts the words the message has already run, so a stream
     # fed in small pieces takes the tables once its length so far reaches
     # the threshold: by then it has spent on the stages about what one
-    # table build costs, so once numpy is loaded no message runs at more
-    # than about twice the cost of the better engine for its whole
-    # length.  In a fresh process that does not hold: the first build
-    # also pays the numpy import, and with a fresh key 2048 words took
-    # 105 ms on the tables against 12.5-16.4 ms on the stages (ROADMAP
-    # item 14).  Counted per call, a stream of small pieces would never
-    # switch.
+    # table build costs, so no message runs at more than about twice the
+    # cost of the better engine for its whole length.  Counted per call,
+    # a stream of small pieces would never switch.
     _BULK_THRESHOLD = 2048
 
     def encryptor(self, nonce: bytes | Sequence[int]) -> "Encryptor":
@@ -763,10 +758,12 @@ class Separ:
                  inverse: bool = False) -> bytes:
         """The one message path, continuing from `st` with its next `nwords`
         words: the word loop on the key's tables once the message's length
-        so far (`st.t` + `nwords`) reaches the threshold or they are built,
-        else one word step at a time; either way, big-endian octets out."""
+        so far (`st.t` + `nwords`) reaches the threshold (eight times it
+        while numpy is not loaded) or they are built, else one word step at
+        a time; either way, big-endian octets out."""
         built = self._dec_tables if inverse else self._enc_tables
-        if st.t + nwords >= self._BULK_THRESHOLD or built is not None:
+        threshold = self._BULK_THRESHOLD if "numpy" in sys.modules else 8 * self._BULK_THRESHOLD
+        if st.t + nwords >= threshold or built is not None:
             loop = self._decrypt_words if inverse else self._encrypt_words
             out = loop(st, words, self._tables(inverse))
         else:

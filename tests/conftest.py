@@ -1,5 +1,10 @@
 import random
 
+# Separ._message takes a key's tables from _BULK_THRESHOLD words once numpy
+# is loaded, and from eight times that before.  The in-process tests pin
+# the first rule, so they all run with numpy loaded, whichever files are
+# collected; the process without numpy is tested in child processes.
+import numpy  # noqa: F401
 import pytest
 
 from separ.core import SubkeySet

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as hs
 
-from reference_oracle import ref_schedule
-from separ.core import Separ, SubkeySet
+from reference_oracle import ref_schedule, ref_subkeys
+from separ.core import Separ, SubkeySet, _stage_keys
 
 
 def test_split_zero_key():
@@ -84,6 +84,15 @@ def test_cipher_schedule_matches_reference(key):
     assert [list(stage.keys) for stage in cipher._inverse_stages] == ref_schedule(key)
     assert [list(sk.keys) for sk in cipher.subkeys] == ref_schedule(key)
     assert [sk.n for sk in cipher.subkeys] == list(range(1, 9))
+
+
+def test_stage_keys_match_reference_for_every_segment_word():
+    """sk3 depends on k1 alone and sk4 on k2 alone, so 2**16 segments reach
+    every S-box window of both: k1 runs over every word, k2 over every
+    word in the opposite order, and the stage number over 1..8."""
+    for k1 in range(1 << 16):
+        k2, n = k1 ^ 0xFFFF, k1 % 8 + 1
+        assert list(_stage_keys(k1, k2, n)) == ref_subkeys(k1, k2, n), (k1, k2, n)
 
 
 @pytest.mark.parametrize("length", [0, 31, 33])

@@ -92,12 +92,15 @@ print(code, "numpy" in sys.modules, core._inverse_round_tables.cache_info().curr
 """
 
 
-@pytest.mark.parametrize("words, loads_numpy", [(8, False), (Separ._BULK_THRESHOLD, True)])
+@pytest.mark.parametrize("words, loads_numpy", [(8 * Separ._BULK_THRESHOLD - 1, False),
+                                                (8 * Separ._BULK_THRESHOLD, True)])
 def test_cli_encrypt_loads_numpy_only_for_the_key_tables(tmp_path, rng, words, loads_numpy):
-    """`separ encrypt` of a short file steps on the shared tables and never
-    imports numpy; a file of the threshold's length builds the key's
+    """In a process without numpy, the threshold is eight times
+    `_BULK_THRESHOLD`, since the first table build also imports numpy:
+    `separ encrypt` of a file one word shorter steps on the shared tables
+    and never imports numpy; a file of that length builds the key's
     tables, which does.  Neither builds the inverse round tables, which
-    only decryption reads."""
+    only decryption reads, and both give the in-process ciphertext."""
     data = rng.randbytes(2 * words)
     src, out = tmp_path / "pt", tmp_path / "ct"
     src.write_bytes(data)
