@@ -543,8 +543,8 @@ class Separ:
         self.lfsr_spec = lfsr_spec
         self._lfsr_table = _lfsr_next(lfsr_spec.taps)
         self._stages = tuple(map(_Stage, keys))
-        self._enc_tables: list[array] | None = None
-        self._dec_tables: list[array] | None = None
+        # The key's tables by `inverse`, built and read only by _message.
+        self._key_tables: dict[bool, list[array]] = {}
 
     @functools.cached_property
     def subkeys(self) -> tuple[SubkeySet, ...]:
@@ -609,19 +609,6 @@ class Separ:
         return self._decrypt_words(st, (ct,), self._inverse_stages)[0]
 
     # -- the word loops ---------------------------------------------------
-
-    def _tables(self, inverse: bool = False) -> list[array]:
-        """Per-stage 65536-entry lookup tables (built lazily, key-fixed),
-        as array('H') so that a lookup in the word loops yields an int."""
-        if inverse:
-            if self._dec_tables is None:
-                self._dec_tables = [array("H", dec_block_table(sk).tobytes())
-                                    for sk in self.subkeys]
-            return self._dec_tables
-        if self._enc_tables is None:
-            self._enc_tables = [array("H", enc_block_table(sk).tobytes())
-                                for sk in self.subkeys]
-        return self._enc_tables
 
     # The only place the state update and the LFSR clock are written, one
     # loop per direction.  `stages` are the eight enc_block (or dec_block)
@@ -757,18 +744,24 @@ class Separ:
     def _message(self, st: CipherState, words: Iterable[int], nwords: int,
                  inverse: bool = False) -> bytes:
         """The one message path, continuing from `st` with its next `nwords`
-        words: the word loop on the key's tables once the message's length
-        so far (`st.t` + `nwords`) reaches the threshold (eight times it
-        while numpy is not loaded) or they are built, else one word step at
-        a time; either way, big-endian octets out."""
-        built = self._dec_tables if inverse else self._enc_tables
+        words: the word loop on the key's tables once they exist; a message
+        builds them when its length so far (`st.t` + `nwords`) reaches the
+        threshold (eight times it while numpy is not loaded); otherwise one
+        word step at a time.  Either way, big-endian octets out."""
+        tables = self._key_tables.get(inverse)
         threshold = self._BULK_THRESHOLD if "numpy" in sys.modules else 8 * self._BULK_THRESHOLD
-        if st.t + nwords >= threshold or built is not None:
-            loop = self._decrypt_words if inverse else self._encrypt_words
-            out = loop(st, words, self._tables(inverse))
-        else:
+        if tables is None and st.t + nwords >= threshold:
+            # Per-stage 65536-entry tables, as array('H') so that a lookup
+            # in the word loops yields an int.
+            build = dec_block_table if inverse else enc_block_table
+            tables = self._key_tables[inverse] = [array("H", build(sk).tobytes())
+                                                  for sk in self.subkeys]
+        if tables is None:
             step = self.decrypt_word if inverse else self.encrypt_word
             out = array("H", [step(st, w) for w in words])
+        else:
+            loop = self._decrypt_words if inverse else self._encrypt_words
+            out = loop(st, words, tables)
         if sys.byteorder == "little":
             out.byteswap()
         return out.tobytes()
@@ -776,9 +769,11 @@ class Separ:
 
 class _Stream:
     """One message in progress over one :class:`CipherState`.  Each
-    :meth:`update` runs the whole words among the octets given so far, on
-    the engine :meth:`Separ._message` picks for the message's length so
-    far, and carries an odd trailing octet into the next call."""
+    :meth:`update` runs the whole words among the octets given so far
+    through :meth:`Separ._message`: on the key's tables once they exist,
+    built by the update whose length so far reaches the threshold, else
+    one word step at a time.  An odd trailing octet is carried into the
+    next call."""
 
     _inverse: bool
     _odd_length: str   # the OddLengthError text of an odd message

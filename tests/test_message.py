@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import with_key_tables
 from reference_oracle import ref_encrypt_bytes, ref_encrypt_words
 from separ.core import OddLengthError, Separ
 
@@ -62,7 +63,7 @@ def test_roundtrip_large_messages(rng):
         data = rng.randbytes(2 * rng.randrange(n, 2 * n))  # forces bulk path
         cipher = Separ(key)
         ct = cipher.encrypt(nonce, data)
-        assert cipher._enc_tables is not None
+        assert list(cipher._key_tables) == [False]
         assert ct != data
         assert cipher.decrypt(nonce, ct) == data
 
@@ -73,7 +74,7 @@ def test_bulk_and_scalar_paths_identical(rng):
     data = rng.randbytes(4 * Separ._BULK_THRESHOLD)
     bulk = Separ(key)
     bulk_ct = bulk.encrypt(nonce, data)  # above threshold: table path
-    assert bulk._enc_tables is not None
+    assert list(bulk._key_tables) == [False]
     scalar = Separ(key)
     st = scalar.initialize(nonce)
     words = [int.from_bytes(data[i:i + 2], "big") for i in range(0, len(data), 2)]
@@ -99,9 +100,7 @@ def test_word_steps_tables_and_oracle_agree(key, nonce, words):
     assert [cipher.decrypt_word(dec, c) for c in cts] == words
     assert dec == enc
 
-    tabled = Separ(key)
-    tabled._tables()
-    tabled._tables(inverse=True)
+    tabled = with_key_tables(Separ(key))
     ct = tabled.encrypt(nonce, _octets(words))
     assert ct == _octets(cts)
     assert tabled.decrypt(nonce, ct) == _octets(words)
@@ -141,18 +140,41 @@ def test_keystream_equals_encrypted_zeros_at_bulk_threshold(rng, offset):
     nonce = rng.randbytes(16)
     nwords = Separ._BULK_THRESHOLD + offset
     fresh = Separ(key).keystream(nonce, nwords)
-    tabled = Separ(key)
-    tabled._tables()
+    tabled = with_key_tables(Separ(key))
     assert fresh == tabled.keystream(nonce, nwords)
     assert fresh == Separ(key).encrypt(nonce, bytes(2 * nwords))
+
+
+def test_each_direction_builds_its_tables_once(rng, table_builds):
+    """Short messages on a fresh key build no tables.  The first message
+    whose length so far reaches the threshold builds the key's eight
+    forward tables, and every later message reads them, long or short,
+    one-shot or streamed; the first long decryption builds the eight
+    inverse ones."""
+    key, nonce = rng.randbytes(32), rng.randbytes(16)
+    long, short = rng.randbytes(2 * Separ._BULK_THRESHOLD), rng.randbytes(24)
+    fresh = Separ(key)
+    fresh.decrypt(nonce, fresh.encrypt(nonce, short))
+    fresh.keystream(nonce, 12)
+    assert table_builds == []
+
+    cipher = Separ(key)
+    ct = cipher.encrypt(nonce, long)
+    assert cipher.encrypt(nonce, long) == ct
+    assert cipher.encrypt(nonce, short) == fresh.encrypt(nonce, short)
+    stream, twice = cipher.encryptor(nonce), 2 * long
+    streamed = b"".join(stream.update(twice[i:i + 1024]) for i in range(0, len(twice), 1024))
+    assert streamed + stream.finalize() == cipher.encrypt(nonce, twice)
+    assert table_builds == [False] * 8
+    assert cipher.decrypt(nonce, ct) == long
+    assert table_builds == [False] * 8 + [True] * 8
 
 
 def test_short_keystream_builds_no_tables(rng):
     cipher = Separ(rng.randbytes(32))
     ks = cipher.keystream(rng.randbytes(16), Separ._BULK_THRESHOLD - 1)
     assert len(ks) == 2 * (Separ._BULK_THRESHOLD - 1)
-    assert cipher._enc_tables is None
-    assert cipher._dec_tables is None
+    assert cipher._key_tables == {}
 
 
 def test_keystream_deterministic(rng):

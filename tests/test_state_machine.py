@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from conftest import with_key_tables
 from reference_oracle import ref_encrypt_words, ref_initialize
 from separ import core
 from separ.core import (
@@ -292,10 +293,7 @@ _EDGE_WORDS = hs.sampled_from([0, 1, 0x7FFF, 0x8000, 0xFFFE, 0xFFFF]) | hs.integ
 
 @pytest.fixture(scope="module")
 def tabled_cipher():
-    cipher = Separ(bytes(range(32)))
-    cipher._tables()
-    cipher._tables(inverse=True)
-    return cipher
+    return with_key_tables(Separ(bytes(range(32))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -318,12 +316,12 @@ def test_word_loops_wrap_at_boundaries(tabled_cipher, states, lfsr, pts):
     assert [cipher.encrypt_word(scalar, pt) for pt in pts] == cts
     assert scalar == expect
     tabled = start.copy()
-    assert cipher._encrypt_words(tabled, pts, cipher._tables()).tolist() == cts
+    assert cipher._encrypt_words(tabled, pts, cipher._key_tables[False]).tolist() == cts
     assert tabled == expect
 
     scalar = start.copy()
     assert [cipher.decrypt_word(scalar, ct) for ct in cts] == pts
     assert scalar == expect
     tabled = start.copy()
-    assert cipher._decrypt_words(tabled, cts, cipher._tables(inverse=True)).tolist() == pts
+    assert cipher._decrypt_words(tabled, cts, cipher._key_tables[True]).tolist() == pts
     assert tabled == expect

@@ -49,9 +49,9 @@ def test_stream_moves_from_stages_to_tables(rng):
     cipher = Separ(key)
     stream = cipher.encryptor(nonce)
     out = stream.update(data[:500])
-    assert cipher._enc_tables is None
+    assert cipher._key_tables == {}
     out += stream.update(data[500:-10])
-    assert cipher._enc_tables is not None
+    assert list(cipher._key_tables) == [False]
     out += stream.update(data[-10:]) + stream.finalize()
     assert out == ref_encrypt_bytes(key, nonce, data)
 
@@ -67,11 +67,11 @@ def test_small_pieces_take_the_tables_at_the_threshold(rng):
     for direction, message, expected in (("encryptor", data, ct), ("decryptor", ct, data)):
         cipher = Separ(key)
         stream = getattr(cipher, direction)(nonce)
-        tables = "_dec_tables" if direction == "decryptor" else "_enc_tables"
         out = b""
         for end in range(1024, len(message) + 1, 1024):
             out += stream.update(message[end - 1024:end])
-            assert (getattr(cipher, tables) is not None) == (end >= THRESHOLD_OCTETS)
+            built = [direction == "decryptor"] if end >= THRESHOLD_OCTETS else []
+            assert list(cipher._key_tables) == built
         assert out + stream.finalize() == expected
         assert getattr(Separ(key), direction.removesuffix("or"))(nonce, message) == expected
 
